@@ -37,8 +37,6 @@ from .transport import (
     brute_force_wasserstein,
     glue,
     is_unique_optimal_plan,
-    plan_cost,
-    plan_cost_pow,
     wasserstein,
     wasserstein_pow,
 )

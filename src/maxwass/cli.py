@@ -25,10 +25,11 @@ from .scalars import (
     ConstraintError,
     ParseError,
     _fraction_from_str,
+    root_p,
     scalar_to_json,
     to_exact,
 )
-from .transport import wasserstein
+from .transport import _solve
 from .verify import SUITES, run_suite
 from .wgeom import (
     displacement_interpolation,
@@ -181,8 +182,8 @@ def _emit_measure(mu: DiscreteMeasure, config: RunConfig) -> None:
 def cmd_dist(args) -> int:
     config = _config(args, default_format="table")
     mu, nu = _gather_measures(args, config, 2)
-    distance, plan = wasserstein(mu, nu, config.p)
-    power = plan.cost_pow(config.p)
+    power, plan = _solve(mu, nu, config.p)
+    distance = root_p(power, config.p)
     if args.plan:
         with open(args.plan, "w", encoding="utf-8", newline="") as handle:
             plan.to_csv(handle, config.p)

@@ -7,9 +7,6 @@ bipartite row/column graph; pivots follow Bland's rule (first
 lexicographic entering cell, lexicographically smallest leaving cell
 among the ratio-test ties), which rules out cycling even on the highly
 degenerate instances this package cares about.
-
-A compiled float-only twin of this routine lives in _netsimplex.pyx;
-`maxwass.transport` picks between the two at import time.
 """
 
 from __future__ import annotations

@@ -8,14 +8,13 @@ operations where the two modes need different handling.
 
 from __future__ import annotations
 
+import math
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import Union
 
 Scalar = Union[int, float, Fraction]
 
-#: comparison tolerance for float-mode quantities (distances, costs)
-FLOAT_TOL = 1e-9
 #: atoms closer than this merge into one support point in float mode
 MERGE_TOL = 1e-12
 
@@ -32,10 +31,6 @@ def is_exact(v: Scalar) -> bool:
     return isinstance(v, (int, Fraction)) and not isinstance(v, bool)
 
 
-def all_exact(values) -> bool:
-    return all(is_exact(v) for v in values)
-
-
 def to_exact(v) -> Fraction:
     """Coerce a scalar to an exact Fraction.
 
@@ -47,7 +42,7 @@ def to_exact(v) -> Fraction:
     if isinstance(v, (int, Fraction)):
         return Fraction(v)
     if isinstance(v, float):
-        return Fraction(Decimal(repr(v)))
+        return Fraction(Decimal(repr(_finite(v))))
     if isinstance(v, str):
         return _fraction_from_str(v)
     raise ParseError(f"cannot interpret {v!r} as an exact scalar")
@@ -59,9 +54,18 @@ def _fraction_from_str(s: str) -> Fraction:
     except (ValueError, ZeroDivisionError):
         pass
     try:
-        return Fraction(Decimal(s))
+        d = Decimal(s)
     except InvalidOperation:
         raise ParseError(f"cannot parse scalar string {s!r}") from None
+    if not d.is_finite():
+        raise ParseError(f"scalar {s!r} is not finite")
+    return Fraction(d)
+
+
+def _finite(v: float) -> float:
+    if not math.isfinite(v):
+        raise ParseError(f"scalar {v!r} is not finite")
+    return v
 
 
 def parse_scalar(v) -> Scalar:
@@ -71,7 +75,7 @@ def parse_scalar(v) -> Scalar:
     if isinstance(v, int):
         return Fraction(v)
     if isinstance(v, float):
-        return v
+        return _finite(v)
     if isinstance(v, str):
         return _fraction_from_str(v)
     raise ParseError(f"not a scalar: {v!r}")
@@ -112,11 +116,11 @@ def root_p(v: Scalar, p) -> Scalar:
     """p-th root of a nonnegative scalar; exact only for p == 1."""
     if p == 1:
         return v
-    return float(v) ** (1.0 / float(p))
-
-
-def close(a: Scalar, b: Scalar, tol: float = FLOAT_TOL) -> bool:
-    """Equality test honouring the arithmetic mode of the operands."""
-    if is_exact(a) and is_exact(b):
-        return a == b
-    return abs(float(a) - float(b)) <= tol
+    try:
+        return float(v) ** (1.0 / float(p))
+    except OverflowError:
+        # an exact v beyond the float range whose root may still fit one
+        v = Fraction(v)
+        return math.exp(
+            (math.log(v.numerator) - math.log(v.denominator)) / float(p)
+        )

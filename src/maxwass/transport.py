@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import csv
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,18 +34,9 @@ from .scalars import (
     scalar_to_json,
 )
 
-try:  # compiled float kernel; never required
-    from . import _netsimplex as _compiled
-except ImportError:  # pragma: no cover - depends on build environment
-    _compiled = None
-
-_PURE_ONLY = os.environ.get("MAXWASS_PURE", "").lower() in ("1", "true", "yes")
-
 
 def active_kernel() -> str:
-    """Which engine float-mode solves will use: 'compiled' or 'pure'."""
-    if _compiled is not None and not _PURE_ONLY:
-        return "compiled"
+    """The engine every solve uses; the pure-Python simplex is the only one."""
     return "pure"
 
 
@@ -119,14 +109,6 @@ class TransportPlan:
                         f"{side} marginal mismatch at atom {k}: {g} != {t}"
                     )
 
-    def weight_matrix(self):
-        mat = [
-            [0] * self.target.support_size for _ in range(self.source.support_size)
-        ]
-        for i, j, w in self.entries:
-            mat[i][j] = w
-        return mat
-
     def cost_pow(self, p) -> Scalar:
         """Transport cost sum dm(x_i, y_j)^p * w, without the 1/p root."""
         _require_valid_p(p)
@@ -172,8 +154,28 @@ def product_plan(mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportPlan:
     return TransportPlan(mu, nu, entries)
 
 
-def identity_plan(mu: DiscreteMeasure) -> TransportPlan:
-    return TransportPlan(mu, mu, [(i, i, w) for i, (_, w) in enumerate(mu.atoms)])
+def _solve(mu: DiscreteMeasure, nu: DiscreteMeasure, p):
+    """The one solve path: (optimal cost power, one optimal plan).
+
+    The power is exact when both measures are exact and p is a whole
+    number, a float otherwise; either way it is the solver's own total.
+    """
+    _require_valid_p(p)
+    if mu.support_size == 1 or nu.support_size == 1:
+        plan = product_plan(mu, nu)  # the only coupling there is
+        return plan.cost_pow(p), plan
+
+    exact = _is_exact_problem(mu, nu, p)
+    cost = _cost_matrix(mu, nu, p, exact)
+    if exact:
+        supply, demand, tol = mu.weights(), nu.weights(), 0
+    else:
+        supply = [float(s) for s in mu.weights()]
+        demand = [float(d) for d in nu.weights()]
+        tol = 1e-11 * max(1.0, max(map(max, cost)))
+    total, flows = solve_transportation(cost, supply, demand, tol)
+    plan = TransportPlan(mu, nu, [(i, j, q) for (i, j), q in flows.items()])
+    return total, plan
 
 
 def wasserstein(mu: DiscreteMeasure, nu: DiscreteMeasure, p=2):
@@ -183,58 +185,13 @@ def wasserstein(mu: DiscreteMeasure, nu: DiscreteMeasure, p=2):
     inputs; for p > 1 it is the float 1/p-th root of the exact power
     (use wasserstein_pow for the exact powered value).
     """
-    _require_valid_p(p)
-    exact = _is_exact_problem(mu, nu, p)
-    if mu.support_size == 1 or nu.support_size == 1:
-        plan = product_plan(mu, nu)  # the only coupling there is
-        return root_p(plan.cost_pow(p) if exact else _float_cost(plan, p), p), plan
-
-    cost = _cost_matrix(mu, nu, p, exact)
-    supply = list(mu.weights())
-    demand = list(nu.weights())
-    if exact:
-        total, flows = solve_transportation(cost, supply, demand, tol=0)
-    elif _compiled is not None and not _PURE_ONLY:
-        total, flow_list = _compiled.solve_transportation_f64(
-            [[float(c) for c in row] for row in cost],
-            [float(s) for s in supply],
-            [float(d) for d in demand],
-        )
-        flows = {(i, j): q for i, j, q in flow_list}
-    else:
-        scale = max(max(abs(c) for c in row) for row in cost)
-        total, flows = solve_transportation(
-            [[float(c) for c in row] for row in cost],
-            [float(s) for s in supply],
-            [float(d) for d in demand],
-            tol=1e-11 * max(1.0, float(scale)),
-        )
-    plan = TransportPlan(mu, nu, [(i, j, q) for (i, j), q in flows.items()])
-    return root_p(total, p), plan
-
-
-def _float_cost(plan: TransportPlan, p) -> float:
-    xs, ys = plan.source.points(), plan.target.points()
-    return sum(
-        float(dm(xs[i], ys[j])) ** float(p) * float(w) for i, j, w in plan.entries
-    )
+    power, plan = _solve(mu, nu, p)
+    return root_p(power, p), plan
 
 
 def wasserstein_pow(mu: DiscreteMeasure, nu: DiscreteMeasure, p=2) -> Scalar:
     """The p-th power of d_{W_p}; exact on exact inputs with integer p."""
-    distance, plan = wasserstein(mu, nu, p)
-    if _is_exact_problem(mu, nu, p):
-        return plan.cost_pow(p)
-    return float(distance) ** float(p)
-
-
-def plan_cost(plan: TransportPlan, p=2) -> Scalar:
-    """(sum dm^p * w)^(1/p) for an arbitrary coupling; >= the distance."""
-    return root_p(plan.cost_pow(p), p)
-
-
-def plan_cost_pow(plan: TransportPlan, p=2) -> Scalar:
-    return plan.cost_pow(p)
+    return _solve(mu, nu, p)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -243,12 +200,8 @@ def plan_cost_pow(plan: TransportPlan, p=2) -> Scalar:
 _BRUTE_LIMIT = 36
 
 
-def _lcm_denominator(measures):
-    lcm = 1
-    for mu in measures:
-        for w in mu.weights():
-            lcm = math.lcm(lcm, Fraction(w).denominator)
-    return lcm
+def _lcm_denominator(values):
+    return math.lcm(*(Fraction(v).denominator for v in values))
 
 
 def _enumerate_optimal_vertices(cost, supply, demand):
@@ -318,16 +271,20 @@ def brute_force_wasserstein(mu: DiscreteMeasure, nu: DiscreteMeasure, p=2):
             f"support product {mu.support_size * nu.support_size} exceeds "
             f"the oracle bound {_BRUTE_LIMIT}"
         )
-    lcm = _lcm_denominator([mu, nu])
+    # integer weights and costs: positive scaling keeps every comparison,
+    # so the optimal vertices are those of the rational instance
+    lcm = _lcm_denominator(mu.weights() + nu.weights())
     supply = [int(Fraction(w) * lcm) for w in mu.weights()]
     demand = [int(Fraction(w) * lcm) for w in nu.weights()]
     cost = _cost_matrix(mu, nu, p, exact=True)
+    cost_lcm = _lcm_denominator(c for row in cost for c in row)
+    cost = [[int(Fraction(c) * cost_lcm) for c in row] for row in cost]
     best_scaled, vertices = _enumerate_optimal_vertices(cost, supply, demand)
     plans = tuple(
         TransportPlan(mu, nu, [(i, j, Fraction(q, lcm)) for i, j, q in sorted(v)])
         for v in vertices
     )
-    return root_p(Fraction(best_scaled, lcm), p), plans
+    return root_p(Fraction(best_scaled, lcm * cost_lcm), p), plans
 
 
 def is_unique_optimal_plan(mu: DiscreteMeasure, nu: DiscreteMeasure, p=2) -> bool:

@@ -19,6 +19,7 @@ from .geometry import (
     DiagonalLine,
     L_PLUS,
     Point2,
+    direction_alloc,
     dm,
     midpoint_box,
     same_diagonal,
@@ -196,7 +197,7 @@ def check_same_diag_char(mu1, mu2, nu_samples) -> CheckReport:
         for nu in nu_samples:
             report.count()
             eta = push_forward(
-                lambda y: y + _unit_shift(common, y), nu
+                lambda y: y + direction_alloc(common, y), nu
             )
             d_ne, _ = wasserstein(nu, eta, 1)
             ok = d_ne == 1
@@ -231,12 +232,6 @@ def check_same_diag_char(mu1, mu2, nu_samples) -> CheckReport:
         if d1e == d1n + d_ne and d2e == d2n + d_ne:
             report.fail(kind="converse-alignment", eta=eta.atoms)
     return report
-
-
-def _unit_shift(line: DiagonalLine, y: Point2) -> Point2:
-    from .geometry import direction_alloc
-
-    return direction_alloc(line, y)
 
 
 def _one_third_point(x1: Point2, x2: Point2) -> Point2:

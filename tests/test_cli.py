@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -78,6 +79,50 @@ def test_dist_dirac_shorthand():
     out = run_cli("dist", "--dirac=-1,-1", "--dirac", "1,1", "--p", "1", "--exact")
     assert out.returncode == 0
     assert out.stdout == "2\n"
+
+
+def test_dist_json_power_is_rooted_distance(tmp_path):
+    """In float mode the printed power is the total the distance roots."""
+    rng = random.Random(1)  # a separate plan-cost sum would differ here
+    paths = []
+    for name in ("a.json", "b.json"):
+        pts = [[rng.uniform(-3, 3), rng.uniform(-3, 3)] for _ in range(4)]
+        parts = [rng.randint(1, 9) for _ in range(4)]
+        atoms = [{"x": x, "w": k / sum(parts)} for x, k in zip(pts, parts)]
+        paths.append(tmp_path / name)
+        paths[-1].write_text(json.dumps({"atoms": atoms}))
+    out = run_cli("dist", *map(str, paths), "--p", "2", "--format", "json")
+    assert out.returncode == 0
+    data = json.loads(out.stdout)
+    assert data["exact"] is False
+    assert data["distance"] == data["power"] ** 0.5
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_dist_exact_power_beyond_float_range(fmt):
+    # 100^400 overflows a float; its 400th root does not
+    out = run_cli(
+        "dist", "--dirac", "0,0", "--dirac", "100,0", "--p", "400", "--format", fmt
+    )
+    assert out.returncode == 0
+    if fmt == "json":
+        distance = json.loads(out.stdout)["distance"]
+    else:
+        distance = float(out.stdout)
+    assert distance == pytest.approx(100, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "coord, flags",
+    [("NaN", []), ("Infinity", []), ("Infinity", ["--exact"]), ('"Infinity"', [])],
+)
+def test_non_finite_scalar_is_parse_error(tmp_path, coord, flags):
+    path = tmp_path / "bad.json"
+    path.write_text('{"atoms": [{"x": [%s, 0], "w": 1}]}' % coord)
+    out = run_cli("dist", str(path), "--dirac", "0,0", *flags)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert "error:" in out.stderr
 
 
 def test_dist_plan_csv(measures, tmp_path):
