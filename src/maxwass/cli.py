@@ -183,7 +183,6 @@ def cmd_dist(args) -> int:
     config = _config(args, default_format="table")
     mu, nu = _gather_measures(args, config, 2)
     power, plan = _solve(mu, nu, config.p)
-    distance = root_p(power, config.p)
     if args.plan:
         with open(args.plan, "w", encoding="utf-8", newline="") as handle:
             plan.to_csv(handle, config.p)
@@ -194,7 +193,7 @@ def cmd_dist(args) -> int:
                 "mode": config.mode,
                 "exact": config.exact,
                 "power": scalar_to_json(power),
-                "distance": float(distance),
+                "distance": _float_distance(power, config.p),
             }
         )
     elif config.output_format == "csv":
@@ -202,8 +201,20 @@ def cmd_dist(args) -> int:
     elif config.exact:
         print(power)
     else:
-        print(repr(float(distance)))
+        print(repr(_float_distance(power, config.p)))
     return 0
+
+
+def _float_distance(power, p) -> float:
+    """The p-th root of power as a float, or a ConstraintError when the
+    distance itself lies beyond the float range."""
+    try:
+        return float(root_p(power, p))
+    except OverflowError:
+        raise ConstraintError(
+            "the distance exceeds the float range; "
+            "--exact with the table format prints its exact p-th power"
+        ) from None
 
 
 def cmd_project(args) -> int:

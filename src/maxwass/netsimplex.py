@@ -1,12 +1,14 @@
 """Dense transportation network simplex, generic over the scalar type.
 
-This is the reference engine: it runs unchanged on exact Fractions
-(tol=0, every comparison exact) and on floats (small tolerance on the
-reduced-cost test).  The basis is the classic spanning tree on the
-bipartite row/column graph; pivots follow Bland's rule (first
-lexicographic entering cell, lexicographically smallest leaving cell
-among the ratio-test ties), which rules out cycling even on the highly
-degenerate instances this package cares about.
+Exact problems reach it as Python ints, scaled from their rational data
+by `transport._integer_instance` (tol=0, every comparison exact); other
+problems run on floats (small tolerance on the reduced-cost test).  Any
+exact ordered scalar, Fraction included, also works with tol=0.  The
+basis is the classic spanning tree on the bipartite row/column graph;
+pivots follow Bland's rule (first lexicographic entering cell,
+lexicographically smallest leaving cell among the ratio-test ties),
+which rules out cycling even on the highly degenerate instances this
+package cares about.
 """
 
 from __future__ import annotations

@@ -4,14 +4,17 @@ The p-Wasserstein distance of two finitely supported measures is a
 transportation LP over the coupling polytope with ground cost dm^p.
 Two independent routes compute it:
 
-* `wasserstein` runs the network simplex (exact Fractions whenever both
-  measures are exact and p is a whole number, floats otherwise);
+* `wasserstein` runs the network simplex, on Python ints whenever both
+  measures are exact and p is a whole number, on floats otherwise;
 * `brute_force_wasserstein` enumerates every vertex of the coupling
   polytope and takes the minimum, which also yields the full set of
   optimal vertex plans and hence uniqueness of the optimal coupling.
 
-The two never share code paths, so agreement between them is a real
-check and is enforced wholesale by the acceptance suite.
+Exact problems reach both routes through `_integer_instance`, which
+scales coordinates and weights to integers; each route divides by the
+scales once at the end.  Only that input is shared, never the search,
+so agreement between the two is a real check and is enforced wholesale
+by the acceptance suite.
 """
 
 from __future__ import annotations
@@ -49,13 +52,42 @@ def _is_exact_problem(mu: DiscreteMeasure, nu: DiscreteMeasure, p) -> bool:
     return mu.exact and nu.exact and is_integer_exponent(p)
 
 
-def _cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, p, exact: bool):
+def _cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, p):
     xs, ys = mu.points(), nu.points()
-    if exact:
-        q = int(p)
-        return [[dm(x, y) ** q for y in ys] for x in xs]
     fp = float(p)
     return [[float(dm(x, y)) ** fp for y in ys] for x in xs]
+
+
+def _integer_instance(mu: DiscreteMeasure, nu: DiscreteMeasure, q: int):
+    """The exact problem at integer scale.
+
+    Every coordinate of both measures is multiplied by L, the LCM of
+    their denominators, and every weight by W, the LCM of the weight
+    denominators.  dm is 1-homogeneous, so the costs dm^q scale by L^q.
+    Returns (cost, supply, demand, cost_scale, weight_scale) with
+    cost_scale = L^q and weight_scale = W: a total cost divides by
+    W * L^q and a flow by W.  Positive scaling keeps the sign of every
+    comparison, so the optimal vertices are those of the rational
+    instance.
+    """
+    xs, ys = mu.points(), nu.points()
+    # sets, not generators: star-unpacking a generator here held about
+    # 0.3 MB of argument tuples until the next full garbage collection
+    coord_scale = math.lcm(*{c.denominator for x in xs + ys for c in x})
+    weight_scale = math.lcm(*{w.denominator for w in mu.weights() + nu.weights()})
+
+    def scaled(values, scale):
+        return [v.numerator * (scale // v.denominator) for v in values]
+
+    rows = [scaled(x, coord_scale) for x in xs]
+    cols = [scaled(y, coord_scale) for y in ys]
+    cost = [
+        [max(abs(a1 - b1), abs(a2 - b2)) ** q for b1, b2 in cols]
+        for a1, a2 in rows
+    ]
+    supply = scaled(mu.weights(), weight_scale)
+    demand = scaled(nu.weights(), weight_scale)
+    return cost, supply, demand, coord_scale**q, weight_scale
 
 
 @dataclass(frozen=True)
@@ -159,20 +191,27 @@ def _solve(mu: DiscreteMeasure, nu: DiscreteMeasure, p):
 
     The power is exact when both measures are exact and p is a whole
     number, a float otherwise; either way it is the solver's own total.
+    Exact problems are solved on their integer instance and divided by
+    its scales once at the end.
     """
     _require_valid_p(p)
     if mu.support_size == 1 or nu.support_size == 1:
         plan = product_plan(mu, nu)  # the only coupling there is
         return plan.cost_pow(p), plan
 
-    exact = _is_exact_problem(mu, nu, p)
-    cost = _cost_matrix(mu, nu, p, exact)
-    if exact:
-        supply, demand, tol = mu.weights(), nu.weights(), 0
-    else:
-        supply = [float(s) for s in mu.weights()]
-        demand = [float(d) for d in nu.weights()]
-        tol = 1e-11 * max(1.0, max(map(max, cost)))
+    if _is_exact_problem(mu, nu, p):
+        cost, supply, demand, cost_scale, weight_scale = _integer_instance(
+            mu, nu, int(p)
+        )
+        total, flows = solve_transportation(cost, supply, demand, 0)
+        power = Fraction(total, weight_scale * cost_scale)
+        entries = [(i, j, Fraction(f, weight_scale)) for (i, j), f in flows.items()]
+        return power, TransportPlan(mu, nu, entries)
+
+    cost = _cost_matrix(mu, nu, p)
+    supply = [float(s) for s in mu.weights()]
+    demand = [float(d) for d in nu.weights()]
+    tol = 1e-11 * max(1.0, max(map(max, cost)))
     total, flows = solve_transportation(cost, supply, demand, tol)
     plan = TransportPlan(mu, nu, [(i, j, q) for (i, j), q in flows.items()])
     return total, plan
@@ -198,10 +237,6 @@ def wasserstein_pow(mu: DiscreteMeasure, nu: DiscreteMeasure, p=2) -> Scalar:
 # exhaustive oracle
 
 _BRUTE_LIMIT = 36
-
-
-def _lcm_denominator(values):
-    return math.lcm(*(Fraction(v).denominator for v in values))
 
 
 def _enumerate_optimal_vertices(cost, supply, demand):
@@ -271,20 +306,15 @@ def brute_force_wasserstein(mu: DiscreteMeasure, nu: DiscreteMeasure, p=2):
             f"support product {mu.support_size * nu.support_size} exceeds "
             f"the oracle bound {_BRUTE_LIMIT}"
         )
-    # integer weights and costs: positive scaling keeps every comparison,
-    # so the optimal vertices are those of the rational instance
-    lcm = _lcm_denominator(mu.weights() + nu.weights())
-    supply = [int(Fraction(w) * lcm) for w in mu.weights()]
-    demand = [int(Fraction(w) * lcm) for w in nu.weights()]
-    cost = _cost_matrix(mu, nu, p, exact=True)
-    cost_lcm = _lcm_denominator(c for row in cost for c in row)
-    cost = [[int(Fraction(c) * cost_lcm) for c in row] for row in cost]
+    cost, supply, demand, cost_scale, weight_scale = _integer_instance(mu, nu, int(p))
     best_scaled, vertices = _enumerate_optimal_vertices(cost, supply, demand)
     plans = tuple(
-        TransportPlan(mu, nu, [(i, j, Fraction(q, lcm)) for i, j, q in sorted(v)])
+        TransportPlan(
+            mu, nu, [(i, j, Fraction(f, weight_scale)) for i, j, f in sorted(v)]
+        )
         for v in vertices
     )
-    return root_p(Fraction(best_scaled, lcm * cost_lcm), p), plans
+    return root_p(Fraction(best_scaled, weight_scale * cost_scale), p), plans
 
 
 def is_unique_optimal_plan(mu: DiscreteMeasure, nu: DiscreteMeasure, p=2) -> bool:

@@ -5,10 +5,12 @@ import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 PKG = [sys.executable, "-m", "maxwass"]
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(*args, env_extra=None):
@@ -110,6 +112,52 @@ def test_dist_exact_power_beyond_float_range(fmt):
     else:
         distance = float(out.stdout)
     assert distance == pytest.approx(100, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", ["1", "2"])
+@pytest.mark.parametrize(
+    "flags",
+    [[], ["--format", "json"], ["--exact", "--format", "json"]],
+    ids=["table", "json", "exact-json"],
+)
+def test_dist_distance_beyond_float_range_is_constraint_error(p, flags):
+    # W_p = 10^400 itself overflows a float, whatever p
+    out = run_cli("dist", "--dirac", "0,0", "--dirac", "1e400,0", "--p", p, *flags)
+    assert out.returncode == 3
+    assert out.stdout == ""
+    assert "--exact" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_dist_exact_table_prints_power_beyond_float_range(p):
+    out = run_cli(
+        "dist", "--dirac", "0,0", "--dirac", "1e400,0", "--p", str(p), "--exact"
+    )
+    assert out.returncode == 0
+    assert out.stdout == f"{10 ** (400 * p)}\n"
+
+
+def test_dist_csv_beyond_float_range_needs_no_root():
+    out = run_cli(
+        "dist", "--dirac", "0,0", "--dirac", "1e400,0", "--p", "2", "--format", "csv"
+    )
+    assert out.returncode == 0
+    assert out.stdout.splitlines()[1].endswith("," + str(10 ** 800))
+
+
+def test_dist_golden_plan(tmp_path):
+    """A fixed 20x20 exact instance with mixed denominators pins the
+    optimal vertex the simplex returns: a pivot-rule change that moves
+    it fails here and must be listed with its new plan."""
+    plan_file = tmp_path / "plan.csv"
+    out = run_cli(
+        "dist", str(DATA / "golden_mu.json"), str(DATA / "golden_nu.json"),
+        "--p", "2", "--exact", "--plan", str(plan_file),
+    )
+    assert out.returncode == 0
+    assert out.stdout == "11615507/9011520\n"
+    assert plan_file.read_text() == (DATA / "golden_plan.csv").read_text()
 
 
 @pytest.mark.parametrize(

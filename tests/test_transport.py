@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxwass import transport
 from maxwass.geometry import Point2, dm
@@ -224,3 +226,92 @@ def test_float_power_is_the_rooted_solver_total(monkeypatch):
     power = wasserstein_pow(mu, nu, 2)
     assert totals == [power, power]
     assert distance == power ** 0.5
+
+
+# ---------------------------------------------------------------------------
+# integer-scaled exact solves
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71)
+
+
+@st.composite
+def exact_pair(draw, kind, square):
+    """Two exact measures of up to 4 atoms whose coordinate denominators
+    are all 1 ("integer"), drawn from a small set with common factors
+    ("mixed"), or distinct primes ("coprime"); weights r_k / d_k are
+    normalized to sum to one.  Repeated points merge."""
+    primes = iter(draw(st.permutations(PRIMES)) if kind == "coprime" else ())
+    bound = 1 if square else 3
+
+    def denominator():
+        if kind == "integer":
+            return 1
+        if kind == "mixed":
+            return draw(st.sampled_from((1, 2, 3, 4, 6, 8, 12)))
+        return next(primes)
+
+    measures = []
+    for _ in range(2):
+        points = []
+        for _ in range(draw(st.integers(2, 4))):
+            coords = []
+            for _ in range(2):
+                d = denominator()
+                coords.append(F(draw(st.integers(-bound * d, bound * d)), d))
+            points.append(Point2(*coords))
+        parts = [
+            F(draw(st.integers(1, 12)), draw(st.sampled_from(PRIMES[:6])))
+            for _ in points
+        ]
+        total = sum(parts)
+        measures.append(
+            DiscreteMeasure(
+                [(x, r / total) for x, r in zip(points, parts)], square_mode=square
+            )
+        )
+    return measures
+
+
+def fraction_simplex(mu, nu, q):
+    """The unscaled instance straight through the simplex on Fractions."""
+    cost = [[dm(x, y) ** q for y in nu.points()] for x in mu.points()]
+    total, flows = solve_transportation(cost, mu.weights(), nu.weights(), 0)
+    return total, TransportPlan(mu, nu, [(i, j, f) for (i, j), f in flows.items()])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(("integer", "mixed", "coprime")),
+    q=st.sampled_from((1, 2, 3)),
+    square=st.booleans(),
+    data=st.data(),
+)
+def test_integer_instance_takes_the_fraction_pivots(kind, q, square, data):
+    """Scaling to ints keeps every comparison, so the exact solve returns
+    the power and the vertex of the simplex run on Fractions."""
+    mu, nu = data.draw(exact_pair(kind, square))
+    power, plan = transport._solve(mu, nu, q)
+    want_power, want_plan = fraction_simplex(mu, nu, q)
+    assert type(power) is F
+    assert power == want_power
+    assert plan.entries == want_plan.entries
+
+
+def test_exact_solves_pass_only_ints_to_the_simplex(monkeypatch):
+    calls = []
+
+    def spy(cost, supply, demand, tol=0):
+        result = solve_transportation(cost, supply, demand, tol)
+        calls.append((cost, supply, demand, tol, result))
+        return result
+
+    monkeypatch.setattr(transport, "solve_transportation", spy)
+    rng = random.Random(107)
+    for k in range(30):
+        p = (1, 2, 3)[k % 3]
+        wasserstein_pow(rand_measure(rng), rand_measure(rng), p)
+    assert calls
+    for cost, supply, demand, tol, (total, flows) in calls:
+        values = [c for row in cost for c in row]
+        values += [*supply, *demand, tol, total, *flows.values()]
+        assert all(type(v) is int for v in values)
