@@ -13,6 +13,7 @@ square mode, constructions applied outside their domain).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -47,7 +48,7 @@ class RunConfig:
 
     mode: str = "plane"
     p: object = 2
-    arithmetic: str = "float"
+    exact: bool = False
     seed: int = 0
     grid_resolution: int = 8
     output_format: str = "table"
@@ -55,10 +56,6 @@ class RunConfig:
     @property
     def square(self) -> bool:
         return self.mode == "square"
-
-    @property
-    def exact(self) -> bool:
-        return self.arithmetic == "exact"
 
 
 def _parse_p(text: str, exact: bool):
@@ -94,7 +91,7 @@ def _config(args, default_format: str) -> RunConfig:
     return RunConfig(
         mode=getattr(args, "mode", "plane"),
         p=_parse_p(getattr(args, "p", "2"), exact),
-        arithmetic="exact" if exact else "float",
+        exact=exact,
         seed=_resolve_seed(args),
         grid_resolution=resolution,
         output_format=fmt,
@@ -436,7 +433,9 @@ def _add_measure_args(sub, count):
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="maxwass",
         description="optimal transport over the max metric on the plane and the square",

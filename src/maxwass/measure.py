@@ -10,7 +10,7 @@ measures plain tuple equality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable
 
@@ -63,13 +63,16 @@ def _merge_atoms(atoms: Iterable[Atom]) -> tuple[Atom, ...]:
 @dataclass(frozen=True)
 class DiscreteMeasure:
     atoms: tuple[Atom, ...]
+    #: every coordinate and weight is exact; set once, measures are frozen
+    exact: bool = field(init=False, compare=False, repr=False)
 
     def __init__(self, atoms: Iterable[Atom], square_mode: bool = False):
         merged = _merge_atoms(atoms)
         if not merged:
             raise ConstraintError("a measure needs at least one atom of positive mass")
         total = sum(w for _, w in merged)
-        if all(is_exact(w) for _, w in merged):
+        exact_weights = all(is_exact(w) for _, w in merged)
+        if exact_weights:
             if total != 1:
                 raise ConstraintError(f"weights sum to {total}, expected 1")
         elif abs(float(total) - 1.0) > 1e-12:
@@ -81,6 +84,8 @@ class DiscreteMeasure:
                         f"atom ({x.x1}, {x.x2}) lies outside [-1,1]^2"
                     )
         object.__setattr__(self, "atoms", merged)
+        exact = exact_weights and all(x.exact for x, _ in merged)
+        object.__setattr__(self, "exact", exact)
 
     @classmethod
     def dirac(cls, x: Point2, square_mode: bool = False) -> "DiscreteMeasure":
@@ -99,10 +104,6 @@ class DiscreteMeasure:
     @property
     def is_dirac(self) -> bool:
         return len(self.atoms) == 1
-
-    @property
-    def exact(self) -> bool:
-        return all(x.exact and is_exact(w) for x, w in self.atoms)
 
     def supported_on(self, line: DiagonalLine) -> bool:
         return all(line.contains(x) for x, _ in self.atoms)

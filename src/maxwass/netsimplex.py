@@ -2,9 +2,11 @@
 
 Exact problems reach it as Python ints, scaled from their rational data
 by `transport._integer_instance` (tol=0, every comparison exact); other
-problems run on floats (small tolerance on the reduced-cost test).  Any
-exact ordered scalar, Fraction included, also works with tol=0.  The
-basis is the classic spanning tree on the bipartite row/column graph;
+problems run on floats, and the tolerance on the reduced-cost test is
+the only float-specific code here (`TransportPlan` prunes float dust
+from the flows).  Any exact ordered scalar, Fraction included, also
+works with tol=0.  The basis is the classic spanning tree on the
+bipartite row/column graph, its cells the keys of the flow dict;
 pivots follow Bland's rule (first lexicographic entering cell,
 lexicographically smallest leaving cell among the ratio-test ties),
 which rules out cycling even on the highly degenerate instances this
@@ -26,20 +28,17 @@ def solve_transportation(cost, supply, demand, tol=0):
     to the positive optimal flow values of one optimal vertex.
     """
     m, n = len(supply), len(demand)
-    flows = {}
-    in_basis = set()
+    flows = {}  # the basic cells and their flows
     row_nbr = [set() for _ in range(m)]
     col_nbr = [set() for _ in range(n)]
 
     def add_cell(i, j, q):
         flows[(i, j)] = q
-        in_basis.add((i, j))
         row_nbr[i].add(j)
         col_nbr[j].add(i)
 
     def drop_cell(i, j):
         del flows[(i, j)]
-        in_basis.discard((i, j))
         row_nbr[i].discard(j)
         col_nbr[j].discard(i)
 
@@ -85,8 +84,9 @@ def solve_transportation(cost, supply, demand, tol=0):
         for ie in range(m):
             ui = u[ie]
             row_cost = cost[ie]
+            basic = row_nbr[ie]
             for je in range(n):
-                if (ie, je) in in_basis:
+                if je in basic:
                     continue
                 if row_cost[je] - ui - v[je] < -tol:
                     entering = (ie, je)
@@ -143,8 +143,4 @@ def solve_transportation(cost, supply, demand, tol=0):
     total = 0
     for (fi, fj), q in flows.items():
         total += cost[fi][fj] * q
-    out = {}
-    for cell, q in flows.items():
-        if q > 0 and not (isinstance(q, float) and q <= 1e-14):
-            out[cell] = q
-    return total, out
+    return total, {cell: q for cell, q in flows.items() if q > 0}

@@ -105,13 +105,6 @@ def is_integer_exponent(p) -> bool:
     return False
 
 
-def pow_p(v: Scalar, p) -> Scalar:
-    """v**p, exact when v is exact and p is a whole number."""
-    if is_exact(v) and is_integer_exponent(p):
-        return v ** int(p)
-    return float(v) ** float(p)
-
-
 def root_p(v: Scalar, p) -> Scalar:
     """p-th root of a nonnegative scalar; exact only for p == 1."""
     if p == 1:

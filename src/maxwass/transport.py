@@ -5,7 +5,8 @@ transportation LP over the coupling polytope with ground cost dm^p.
 Two independent routes compute it:
 
 * `wasserstein` runs the network simplex, on Python ints whenever both
-  measures are exact and p is a whole number, on floats otherwise;
+  measures are exact and p is a whole number, Diracs included, and on
+  floats otherwise, where a one-atom side takes the product plan;
 * `brute_force_wasserstein` enumerates every vertex of the coupling
   polytope and takes the minimum, which also yields the full set of
   optimal vertex plans and hence uniqueness of the optimal coupling.
@@ -14,14 +15,15 @@ Exact problems reach both routes through `_integer_instance`, which
 scales coordinates and weights to integers; each route divides by the
 scales once at the end.  Only that input is shared, never the search,
 so agreement between the two is a real check and is enforced wholesale
-by the acceptance suite.
+by the acceptance suite.  Measures and plans fix their exactness when
+they are built, and every later decision reads that flag.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .geometry import dm
@@ -32,7 +34,6 @@ from .scalars import (
     Scalar,
     is_exact,
     is_integer_exponent,
-    pow_p,
     root_p,
     scalar_to_json,
 )
@@ -93,11 +94,13 @@ def _integer_instance(mu: DiscreteMeasure, nu: DiscreteMeasure, q: int):
 @dataclass(frozen=True)
 class TransportPlan:
     """A coupling of source and target, stored as positive (i, j, weight)
-    entries sorted by index pair; zero-weight entries are pruned."""
+    entries sorted by index pair; zero-weight entries are pruned.  The
+    plan is exact when both measures and every weight are exact."""
 
     source: DiscreteMeasure
     target: DiscreteMeasure
     entries: tuple[tuple[int, int, Scalar], ...]
+    exact: bool = field(init=False, compare=False, repr=False)
 
     def __init__(self, source, target, entries):
         cells = {}
@@ -116,6 +119,8 @@ class TransportPlan:
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "entries", tuple(kept))
+        exact = source.exact and target.exact and all(is_exact(w) for *_, w in kept)
+        object.__setattr__(self, "exact", exact)
         self._check_marginals()
 
     def _check_marginals(self):
@@ -124,15 +129,12 @@ class TransportPlan:
         for i, j, w in self.entries:
             row[i] += w
             col[j] += w
-        exact = self.source.exact and self.target.exact and all(
-            is_exact(w) for _, _, w in self.entries
-        )
         for got, want, side in (
             (row, self.source.weights(), "source"),
             (col, self.target.weights(), "target"),
         ):
             for k, (g, t) in enumerate(zip(got, want)):
-                if exact:
+                if self.exact:
                     ok = g == t
                 else:
                     ok = abs(float(g) - float(t)) <= 1e-9
@@ -141,29 +143,31 @@ class TransportPlan:
                         f"{side} marginal mismatch at atom {k}: {g} != {t}"
                     )
 
-    def cost_pow(self, p) -> Scalar:
-        """Transport cost sum dm(x_i, y_j)^p * w, without the 1/p root."""
+    def _cell_costs(self, p) -> list:
+        """dm(x_i, y_j)^p per entry: exact on an exact plan with whole p."""
         _require_valid_p(p)
         xs, ys = self.source.points(), self.target.points()
-        exact = _is_exact_problem(self.source, self.target, p) and all(
-            is_exact(w) for _, _, w in self.entries
-        )
+        if self.exact and is_integer_exponent(p):
+            q = int(p)
+            return [dm(xs[i], ys[j]) ** q for i, j, _ in self.entries]
+        fp = float(p)
+        return [float(dm(xs[i], ys[j])) ** fp for i, j, _ in self.entries]
+
+    def cost_pow(self, p) -> Scalar:
+        """Transport cost sum dm(x_i, y_j)^p * w, without the 1/p root."""
         total = 0
-        for i, j, w in self.entries:
-            d = dm(xs[i], ys[j])
-            total += (pow_p(d, p) if exact else float(d) ** float(p)) * w
+        # left to right: sum() compensates float sums from Python 3.12 on
+        for (_, _, w), c in zip(self.entries, self._cell_costs(p)):
+            total += c * w
         return total
 
     def to_csv(self, fileobj, p=2):
         """Rows (i, j, x_i, y_j, weight, cost) with cost = dm(x_i, y_j)^p."""
-        _require_valid_p(p)
+        costs = self._cell_costs(p)
         writer = csv.writer(fileobj)
         writer.writerow(["i", "j", "x_i", "y_j", "weight", "cost"])
         xs, ys = self.source.points(), self.target.points()
-        exact = _is_exact_problem(self.source, self.target, p)
-        for i, j, w in self.entries:
-            d = dm(xs[i], ys[j])
-            c = pow_p(d, p) if exact and is_exact(w) else float(d) ** float(p)
+        for (i, j, w), c in zip(self.entries, costs):
             writer.writerow(
                 [
                     i,
@@ -191,14 +195,10 @@ def _solve(mu: DiscreteMeasure, nu: DiscreteMeasure, p):
 
     The power is exact when both measures are exact and p is a whole
     number, a float otherwise; either way it is the solver's own total.
-    Exact problems are solved on their integer instance and divided by
-    its scales once at the end.
+    Exact problems, Diracs included, are solved on their integer
+    instance and divided by its scales once at the end.
     """
     _require_valid_p(p)
-    if mu.support_size == 1 or nu.support_size == 1:
-        plan = product_plan(mu, nu)  # the only coupling there is
-        return plan.cost_pow(p), plan
-
     if _is_exact_problem(mu, nu, p):
         cost, supply, demand, cost_scale, weight_scale = _integer_instance(
             mu, nu, int(p)
@@ -208,7 +208,18 @@ def _solve(mu: DiscreteMeasure, nu: DiscreteMeasure, p):
         entries = [(i, j, Fraction(f, weight_scale)) for (i, j), f in flows.items()]
         return power, TransportPlan(mu, nu, entries)
 
-    cost = _cost_matrix(mu, nu, p)
+    try:
+        if mu.support_size == 1 or nu.support_size == 1:
+            # the only coupling there is; its products w * 1.0 carry no
+            # rounding residue from the simplex's northwest corner
+            plan = product_plan(mu, nu)
+            return plan.cost_pow(p), plan
+        cost = _cost_matrix(mu, nu, p)
+    except OverflowError:
+        raise ConstraintError(
+            "a transport cost exceeds the float range; "
+            "--exact with a whole-number p computes it exactly"
+        ) from None
     supply = [float(s) for s in mu.weights()]
     demand = [float(d) for d in nu.weights()]
     tol = 1e-11 * max(1.0, max(map(max, cost)))

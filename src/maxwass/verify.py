@@ -625,16 +625,6 @@ def rand_measure_in_F(rng, max_atoms: int = 3, box: int = 3) -> DiscreteMeasure:
             return mu
 
 
-def rand_measure_in_square(rng, max_atoms: int = 4) -> DiscreteMeasure:
-    n = rng.randint(1, max_atoms)
-    pts = []
-    while len(pts) < n:
-        cand = _rand_point(rng, 1, 8)
-        if cand not in pts:
-            pts.append(cand)
-    return DiscreteMeasure(list(zip(pts, _rand_weights(rng, n))))
-
-
 def _rand_nondiagonal_measure(rng, max_atoms: int = 4, box: int = 3) -> DiscreteMeasure:
     while True:
         mu = rand_measure(rng, max_atoms, box)
@@ -796,8 +786,8 @@ def _suite_q_sides(seed: int) -> list:
         reports.append(check_opposite_sides(interior_measure(n1), interior_measure(n2), p))
     for k in range(20):
         p = ps[k % 3]
-        mu = rand_measure_in_square(rng)
-        nu = rand_measure_in_square(rng)
+        mu = rand_measure(rng, 4, box=1)
+        nu = rand_measure(rng, 4, box=1)
         reports.append(check_opposite_sides(mu, nu, p))
     return reports
 
@@ -817,7 +807,7 @@ def _suite_q_saturation(seed: int) -> list:
                 [(Point2(t, t), w) for t, w in zip(ts, _rand_weights(rng, n))]
             )
         else:
-            mu = rand_measure_in_square(rng)
+            mu = rand_measure(rng, 4, box=1)
         reports.append(check_diag_saturation(mu))
     return reports
 

@@ -146,6 +146,47 @@ def test_dist_csv_beyond_float_range_needs_no_root():
     assert out.stdout.splitlines()[1].endswith("," + str(10 ** 800))
 
 
+@pytest.fixture
+def big_float(tmp_path):
+    """A float measure whose squared cost to the origin, 1e400, does not
+    fit a float, and a small float measure to pair it with."""
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"atoms": [
+        {"x": [1e200, 0], "w": 0.5}, {"x": [0, 0], "w": 0.5},
+    ]}))
+    small = tmp_path / "small.json"
+    small.write_text(json.dumps({"atoms": [
+        {"x": [0, 1], "w": 0.25}, {"x": [2, 3], "w": 0.75},
+    ]}))
+    return str(big), str(small)
+
+
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+@pytest.mark.parametrize("dirac", [False, True], ids=["file", "dirac"])
+def test_dist_float_cost_beyond_float_range_is_constraint_error(big_float, fmt, dirac):
+    big, small = big_float
+    other = ["--dirac", "0,0"] if dirac else [small]
+    out = run_cli("dist", big, *other, "--p", "2", "--format", fmt)
+    assert out.returncode == 3
+    assert out.stdout == ""
+    assert out.stderr.startswith("error: ")
+    assert out.stderr.count("\n") == 1
+    assert "--exact" in out.stderr
+
+
+def test_dist_float_cost_in_range_at_p1(big_float):
+    out = run_cli("dist", *big_float, "--p", "1")
+    assert out.returncode == 0
+    assert out.stdout == "5e+199\n"
+
+
+def test_dist_exact_survives_a_float_cost_overflow(big_float):
+    big, _ = big_float
+    out = run_cli("dist", big, "--dirac", "0,0", "--p", "2", "--exact")
+    assert out.returncode == 0
+    assert out.stdout == f"{10 ** 400 // 2}\n"
+
+
 def test_dist_golden_plan(tmp_path):
     """A fixed 20x20 exact instance with mixed denominators pins the
     optimal vertex the simplex returns: a pivot-rule change that moves
@@ -322,6 +363,24 @@ def test_verify_w2_table_passes():
     assert "PASS" in out.stdout
     assert "FAIL" not in out.stdout
     assert out.stdout.strip().endswith("statements")
+
+
+def test_main_shares_one_parser_across_calls(measures, capsys):
+    """In-process calls reuse one parser; an argparse error in between
+    leaves it as it was."""
+    from maxwass import cli
+
+    dist = ["dist", measures["mu"], measures["nu"], "--exact"]
+    assert cli.main(dist) == 0
+    first = capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["dist", "--p"])
+    assert exc.value.code == 2
+    assert cli.main(["verify", "w2-table"]) == 0
+    assert cli.main(dist) == 0
+    second = capsys.readouterr().out.split("statements\n")[-1]
+    assert first == second == "10\n"
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_verify_unknown_suite():

@@ -215,3 +215,11 @@ def test_float_measures_not_exact():
     mu = DiscreteMeasure([(Point2(0.5, 0.25), 1.0)])
     assert not mu.exact
     assert mu.is_dirac
+
+
+def test_exact_is_stored_and_left_out_of_equality():
+    exact = DiscreteMeasure([(Point2(F(1, 2), F(1, 4)), F(1))])
+    assert exact.exact and "exact" not in repr(exact)
+    assert exact == DiscreteMeasure.dirac(Point2(F(1, 2), F(1, 4)))
+    assert not DiscreteMeasure([(Point2(F(1, 2), 0.25), F(1))]).exact
+    assert not DiscreteMeasure([(Point2(F(1, 2), F(1, 4)), 1.0)]).exact

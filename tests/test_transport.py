@@ -315,3 +315,50 @@ def test_exact_solves_pass_only_ints_to_the_simplex(monkeypatch):
         values = [c for row in cost for c in row]
         values += [*supply, *demand, tol, total, *flows.values()]
         assert all(type(v) is int for v in values)
+    # exact Diracs take the integer simplex too
+    assert any(1 in (len(supply), len(demand)) for _, supply, demand, _, _ in calls)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_exact_dirac_solve_is_the_product_plan(p):
+    """On a 1 x n instance the northwest corner is the only coupling, so
+    the integer simplex returns the product plan and its cost."""
+    rng = random.Random(11)
+    for _ in range(20):
+        dirac = DiscreteMeasure.dirac(Point2(rand_frac(rng), rand_frac(rng)))
+        other = rand_measure(rng)
+        for mu, nu in ((dirac, other), (other, dirac)):
+            power, plan = transport._solve(mu, nu, p)
+            want = product_plan(mu, nu)
+            assert type(power) is F
+            assert power == want.cost_pow(p)
+            assert plan.entries == want.entries
+
+
+def test_float_dirac_solve_keeps_the_product_plan():
+    """Float one-atom problems keep the product plan: its products w * 1.0
+    are exact, where the northwest corner leaves 0.39999999999999997 and
+    sums to 2.1999999999999997 here."""
+    mu = DiscreteMeasure(
+        [(Point2(0.0, 0.0), 0.3), (Point2(1.0, 0.0), 0.3), (Point2(2.0, 0.0), 0.4)]
+    )
+    nu = DiscreteMeasure.dirac(Point2(F(0), F(1)))
+    want = product_plan(mu, nu).cost_pow(2)
+    assert want == 2.2
+    assert wasserstein_pow(mu, nu, 2) == want
+    assert wasserstein_pow(nu, mu, 2) == want
+
+
+def test_plan_decides_exactness_once():
+    mu = DiscreteMeasure([(Point2(F(0), F(0)), F(1, 2)), (Point2(F(2), F(0)), F(1, 2))])
+    nu = DiscreteMeasure.dirac(Point2(F(4), F(0)))
+    exact = TransportPlan(mu, nu, [(0, 0, F(1, 2)), (1, 0, F(1, 2))])
+    assert exact.exact
+    assert exact.cost_pow(2) == 10 and type(exact.cost_pow(2)) is F
+    assert type(exact.cost_pow(1.5)) is float
+    # float weights on exact measures: marginals at tolerance, float costs
+    approx = TransportPlan(mu, nu, [(0, 0, 0.5), (1, 0, 0.5 + 1e-12)])
+    assert not approx.exact
+    assert approx.cost_pow(2) == pytest.approx(10.0)
+    assert type(approx.cost_pow(2)) is float
+    assert exact == TransportPlan(mu, nu, exact.entries)
