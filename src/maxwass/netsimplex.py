@@ -5,19 +5,33 @@ by `transport._integer_instance` (tol=0, every comparison exact); other
 problems run on floats, and the tolerance on the reduced-cost test is
 the only float-specific code here (`TransportPlan` prunes float dust
 from the flows).  Any exact ordered scalar, Fraction included, also
-works with tol=0.  The basis is the classic spanning tree on the
-bipartite row/column graph, its cells the keys of the flow dict;
-pivots follow Bland's rule (first lexicographic entering cell,
-lexicographically smallest leaving cell among the ratio-test ties),
-which rules out cycling even on the highly degenerate instances this
-package cares about.
+works with tol=0.
+
+The basis is a spanning tree on the bipartite graph of rows 0..m-1 and
+columns m..m+n-1, its cells the keys of the flow dict, rooted at row 0
+with a parent and a depth per node.  The tree is kept strongly feasible
+(W. H. Cunningham, "A network simplex method", Math. Programming 11,
+1976): every zero-flow tree cell points from its child toward the root.
+Leaving by the last blocking cell of the pivot cycle, met from its apex
+in the entering cell's direction, keeps it so and rules out cycling on
+the highly degenerate instances this package cares about.
+
+Pricing is block search, as in the LEMON-derived solver of Bonneel, van
+de Panne, Paris and Heidrich (ACM TOG 30(6), 2011): the cells are
+scanned cyclically in blocks of isqrt(m*n), and the most negative
+reduced cost of the first block that has one enters.  A pivot re-hangs
+only the subtree the leaving cell cuts off, recomputing its parents,
+depths and potentials from the costs along the tree, so float
+potentials equal a full rebuild from the root and never drift.  The
+pivot count is capped at a multiple of m*n, far above what the
+instances here need (under m*n/5 on 20x20 and 40x40 1/8-grid ones).
 """
 
 from __future__ import annotations
 
-from collections import deque
+from math import isqrt
 
-_MAX_PIVOTS = 200_000
+_PIVOTS_PER_CELL = 20
 
 
 def solve_transportation(cost, supply, demand, tol=0):
@@ -42,7 +56,11 @@ def solve_transportation(cost, supply, demand, tol=0):
         row_nbr[i].discard(j)
         col_nbr[j].discard(i)
 
-    # northwest-corner start: a staircase of m+n-1 basic cells
+    # northwest-corner start: a staircase of m+n-1 basic cells.  Its tie
+    # rule advances the row, so a zero-flow cell (i+1, j) hangs child row
+    # i+1 from parent column j and points toward the root row 0: the
+    # start tree is strongly feasible (on floats, up to rounding in the
+    # margin totals).
     rs = list(supply)
     rd = list(demand)
     i = j = 0
@@ -62,81 +80,115 @@ def solve_transportation(cost, supply, demand, tol=0):
         else:
             j += 1
 
-    for _ in range(_MAX_PIVOTS):
-        u = [None] * m
-        v = [None] * n
-        u[0] = 0
-        stack = [(True, 0)]
-        while stack:
-            is_row, k = stack.pop()
-            if is_row:
-                for jj in row_nbr[k]:
-                    if v[jj] is None:
-                        v[jj] = cost[k][jj] - u[k]
-                        stack.append((False, jj))
-            else:
-                for ii in col_nbr[k]:
-                    if u[ii] is None:
-                        u[ii] = cost[ii][k] - v[k]
-                        stack.append((True, ii))
+    # node k < m is row k, node m + j is column j
+    parent = [-1] * (m + n)
+    depth = [0] * (m + n)
+    u = [0] * m
+    v = [0] * n
 
+    def hang(top):
+        """Parents, depths and potentials below `top`, from its own."""
+        stack = [top]
+        while stack:
+            x = stack.pop()
+            px = parent[x]
+            dx = depth[x] + 1
+            if x < m:
+                ux = u[x]
+                row_cost = cost[x]
+                for jj in row_nbr[x]:
+                    c = m + jj
+                    if c != px:
+                        parent[c] = x
+                        depth[c] = dx
+                        v[jj] = row_cost[jj] - ux
+                        stack.append(c)
+            else:
+                k = x - m
+                vk = v[k]
+                for ii in col_nbr[k]:
+                    if ii != px:
+                        parent[ii] = x
+                        depth[ii] = dx
+                        u[ii] = cost[ii][k] - vk
+                        stack.append(ii)
+
+    def cell_above(x):
+        """The tree cell joining node x to its parent."""
+        return (x, parent[x] - m) if x < m else (parent[x], x - m)
+
+    hang(0)
+
+    cells = m * n
+    block = max(1, isqrt(cells))
+    pos = 0  # the next cell to price, row-major
+    for _ in range(_PIVOTS_PER_CELL * cells):
+        best = -tol
         entering = None
-        for ie in range(m):
+        scanned = in_block = 0
+        while scanned < cells:
+            ie, j0 = divmod(pos, n)
+            j1 = min(n, j0 + block - in_block, j0 + cells - scanned)
             ui = u[ie]
             row_cost = cost[ie]
             basic = row_nbr[ie]
-            for je in range(n):
-                if je in basic:
-                    continue
-                if row_cost[je] - ui - v[je] < -tol:
+            for je in range(j0, j1):
+                rc = row_cost[je] - ui - v[je]
+                if rc < best and je not in basic:
+                    best = rc
                     entering = (ie, je)
+            step = j1 - j0
+            scanned += step
+            in_block += step
+            pos = (pos + step) % cells
+            if in_block == block:
+                if entering is not None:
                     break
-            if entering:
-                break
+                in_block = 0
         if entering is None:
             break
 
         ie, je = entering
-        # unique tree path from row ie to column je closes the pivot cycle
-        parent = {(True, ie): None}
-        queue = deque([(True, ie)])
-        goal = (False, je)
-        while goal not in parent:
-            node = queue.popleft()
-            is_row, k = node
-            nbrs = row_nbr[k] if is_row else col_nbr[k]
-            for nb in nbrs:
-                nxt = (not is_row, nb)
-                if nxt not in parent:
-                    parent[nxt] = node
-                    queue.append(nxt)
-
-        path = []
-        node = goal
-        while node is not None:
-            path.append(node)
-            node = parent[node]
-        # path now runs column je -> ... -> row ie; consecutive nodes are
-        # basic cells, alternating -,+,-,... after the entering '+'
-        minus, plus = [], []
-        for k in range(len(path) - 1):
-            a, b = path[k], path[k + 1]
-            cell = (a[1], b[1]) if a[0] else (b[1], a[1])
-            (minus if k % 2 == 0 else plus).append(cell)
-
+        # climb from both ends of the entering cell to the apex
+        a, b = ie, m + je
+        up_a, up_b = [], []
+        while a != b:
+            if depth[a] >= depth[b]:
+                up_a.append(a)
+                a = parent[a]
+            else:
+                up_b.append(b)
+                b = parent[b]
+        # the cycle runs from the apex down to row ie, through the
+        # entering cell, then from column je up to the apex; a tree cell
+        # loses flow where the cycle meets it against its row -> column
+        # direction: below its column on the way down, below its row on
+        # the way up
+        cycle = [(cell_above(x), x < m) for x in reversed(up_a)]
+        cycle += [(cell_above(x), x >= m) for x in up_b]
         theta = None
-        leaving = None
-        for cell in minus:
-            q = flows[cell]
-            if theta is None or q < theta or (q == theta and cell < leaving):
-                theta = q
+        for cell, loses in cycle:  # in cycle order: <= keeps the last blocking cell
+            if loses and (theta is None or flows[cell] <= theta):
+                theta = flows[cell]
                 leaving = cell
-        for cell in plus:
-            flows[cell] += theta
-        for cell in minus:
-            flows[cell] -= theta
+        if theta:
+            for cell, loses in cycle:
+                flows[cell] += -theta if loses else theta
         drop_cell(*leaving)
         add_cell(ie, je, theta)
+
+        # the cut-off subtree holds row ie when the leaving cell hangs its
+        # row from its column, as on the way down; column je otherwise
+        li, lj = leaving
+        if parent[li] == m + lj:
+            top, under = ie, m + je
+            u[ie] = cost[ie][je] - v[je]
+        else:
+            top, under = m + je, ie
+            v[je] = cost[ie][je] - u[ie]
+        parent[top] = under
+        depth[top] = depth[under] + 1
+        hang(top)
     else:
         raise RuntimeError("network simplex failed to terminate")
 

@@ -109,7 +109,10 @@ class TransportPlan:
                 raise ConstraintError(f"negative plan weight at ({i}, {j})")
             if not (0 <= i < source.support_size and 0 <= j < target.support_size):
                 raise ConstraintError(f"plan entry ({i}, {j}) out of range")
-            cells[i, j] = cells.get((i, j), 0) + w
+            if (i, j) in cells:
+                cells[i, j] += w
+            else:
+                cells[i, j] = w
         kept = [
             (i, j, w)
             for (i, j), w in cells.items()
@@ -124,21 +127,33 @@ class TransportPlan:
         self._check_marginals()
 
     def _check_marginals(self):
+        wants = (self.source.weights(), self.target.weights())
+        if self.exact:
+            # in ints over one common denominator, not in Fraction sums
+            scale = math.lcm(
+                *{w.denominator for *_, w in self.entries},
+                *{w.denominator for want in wants for w in want},
+            )
+
+            def scaled(w):
+                return w.numerator * (scale // w.denominator)
+
         row = [0] * self.source.support_size
         col = [0] * self.target.support_size
         for i, j, w in self.entries:
+            if self.exact:
+                w = scaled(w)
             row[i] += w
             col[j] += w
-        for got, want, side in (
-            (row, self.source.weights(), "source"),
-            (col, self.target.weights(), "target"),
-        ):
+        for got, want, side in zip((row, col), wants, ("source", "target")):
             for k, (g, t) in enumerate(zip(got, want)):
                 if self.exact:
-                    ok = g == t
+                    ok = g == scaled(t)
                 else:
                     ok = abs(float(g) - float(t)) <= 1e-9
                 if not ok:
+                    if self.exact:
+                        g = Fraction(g, scale)
                     raise ConstraintError(
                         f"{side} marginal mismatch at atom {k}: {g} != {t}"
                     )

@@ -11,11 +11,14 @@ import pytest
 
 PKG = [sys.executable, "-m", "maxwass"]
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(*args, env_extra=None):
     env = dict(os.environ)
     env.pop("MAXWASS_SEED", None)
+    # the child imports this checkout's package, installed or not
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(

@@ -15,6 +15,7 @@ from maxwass.netsimplex import solve_transportation
 from maxwass.scalars import ConstraintError
 from maxwass.transport import (
     TransportPlan,
+    _enumerate_optimal_vertices,
     brute_force_wasserstein,
     glue,
     is_unique_optimal_plan,
@@ -144,6 +145,27 @@ def test_plan_csv_layout():
     assert lines[1].endswith("16") and lines[2].endswith("9/4")
 
 
+def test_plan_with_one_wrong_exact_weight_fails_its_marginals():
+    mu = DiscreteMeasure([(Point2(F(0), F(0)), F(1, 3)), (Point2(F(1), F(0)), F(2, 3))])
+    nu = DiscreteMeasure([(Point2(F(0), F(1)), F(1, 2)), (Point2(F(1), F(1)), F(1, 2))])
+    good = [(0, 0, F(1, 3)), (1, 0, F(1, 6)), (1, 1, F(1, 2))]
+    TransportPlan(mu, nu, good)
+    with pytest.raises(ConstraintError, match=r"^source marginal mismatch at atom 1: 5/6 != 2/3$"):
+        TransportPlan(mu, nu, good[:2] + [(1, 1, F(2, 3))])
+    with pytest.raises(ConstraintError, match=r"^target marginal mismatch at atom 0: 1/3 != 1/2$"):
+        TransportPlan(mu, nu, [(0, 0, F(1, 3)), (1, 1, F(2, 3))])
+
+
+def test_plan_merges_duplicate_cells():
+    mu = DiscreteMeasure([(Point2(F(0), F(0)), F(1, 3)), (Point2(F(1), F(0)), F(2, 3))])
+    nu = DiscreteMeasure.dirac(Point2(F(0), F(1)))
+    plan = TransportPlan(mu, nu, [(1, 0, F(1, 2)), (0, 0, F(1, 3)), (1, 0, F(1, 6))])
+    assert plan.entries == ((0, 0, F(1, 3)), (1, 0, F(2, 3)))
+    assert plan.exact
+    floats = TransportPlan(mu, nu, [(0, 0, 0.25), (1, 0, 2 / 3), (0, 0, 1 / 12)])
+    assert floats.entries == ((0, 0, 0.25 + 1 / 12), (1, 0, 2 / 3))
+
+
 def test_product_plan_marginals():
     rng = random.Random(89)
     mu, nu = rand_measure(rng), rand_measure(rng)
@@ -197,8 +219,8 @@ def test_raw_transportation_solver_exact():
 
 
 def test_degenerate_margins_terminate():
-    """Many equal weights force degenerate pivots; Bland's rule must
-    still terminate at the optimum."""
+    """Many equal weights force degenerate pivots; the strongly feasible
+    tree must still terminate at the optimum."""
     n = 6
     supply = [F(1, n)] * n
     demand = [F(1, n)] * n
@@ -362,3 +384,100 @@ def test_plan_decides_exactness_once():
     assert approx.cost_pow(2) == pytest.approx(10.0)
     assert type(approx.cost_pow(2)) is float
     assert exact == TransportPlan(mu, nu, exact.entries)
+
+
+# ---------------------------------------------------------------------------
+# the simplex returns a vertex
+
+
+@st.composite
+def grid_instance(draw):
+    """An m x n instance on the 1/8 grid of [-3, 3]^2 at 8x scale, with
+    int costs dm^p and int margins of equal total; equal or random
+    weights."""
+    m, n = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    coord = st.integers(-24, 24)
+    xs = [(draw(coord), draw(coord)) for _ in range(m)]
+    ys = [(draw(coord), draw(coord)) for _ in range(n)]
+    p = draw(st.sampled_from((1, 2, 3)))
+    cost = [[max(abs(a - c), abs(b - d)) ** p for c, d in ys] for a, b in xs]
+    if draw(st.booleans()):
+        rs, rd = [1] * m, [1] * n
+    else:
+        rs = draw(st.lists(st.integers(1, 12), min_size=m, max_size=m))
+        rd = draw(st.lists(st.integers(1, 12), min_size=n, max_size=n))
+    supply = [r * sum(rd) for r in rs]
+    demand = [r * sum(rs) for r in rd]
+    return cost, supply, demand
+
+
+def assert_vertex(flows, m, n):
+    """The positive cells form a forest on the m + n lines."""
+    assert len(flows) <= m + n - 1
+    root = list(range(m + n))
+
+    def find(k):
+        while root[k] != k:
+            k = root[k]
+        return k
+
+    for i, j in flows:
+        a, b = find(i), find(m + j)
+        assert a != b, "the positive cells contain a cycle"
+        root[a] = b
+
+
+@settings(max_examples=300, deadline=None)
+@given(instance=grid_instance(), floats=st.booleans())
+def test_every_solve_returns_a_vertex(instance, floats):
+    cost, supply, demand = instance
+    m, n = len(supply), len(demand)
+    if floats:
+        total_mass = sum(supply)
+        cost_f = [[c / 8.0 for c in row] for row in cost]
+        supply_f = [s / total_mass for s in supply]
+        demand_f = [d / total_mass for d in demand]
+        tol = 1e-11 * max(1.0, max(map(max, cost_f)))
+        total, flows = solve_transportation(cost_f, supply_f, demand_f, tol)
+    else:
+        total, flows = solve_transportation(cost, supply, demand, 0)
+    assert_vertex(flows, m, n)
+    row, col = [0] * m, [0] * n
+    for (i, j), q in flows.items():
+        assert q > 0
+        row[i] += q
+        col[j] += q
+    if floats:
+        assert all(abs(g - w) <= 1e-9 for g, w in zip(row + col, supply_f + demand_f))
+        return
+    assert row == supply and col == demand
+    assert total == sum(cost[i][j] * q for (i, j), q in flows.items())
+    # the enumeration takes up to 0.2 s at 16 cells and 9-60 s at 36
+    if m * n <= 16:
+        assert total == _enumerate_optimal_vertices(cost, supply, demand)[0]
+
+
+def test_150x150_solves_exactly_and_in_floats():
+    """A 150x150 1/8-grid instance at p = 2 solves in well under a
+    second, in ints and in floats, and the two powers agree."""
+    rng = random.Random(150)
+
+    def grid_measure():
+        points = set()
+        while len(points) < 150:
+            points.add(Point2(rand_frac(rng), rand_frac(rng)))
+        parts = [rng.randint(1, 12) for _ in points]
+        return DiscreteMeasure(
+            [(x, F(r, sum(parts))) for x, r in zip(sorted(points), parts)]
+        )
+
+    def as_floats(mu):
+        return DiscreteMeasure(
+            [(Point2(float(x.x1), float(x.x2)), float(w)) for x, w in mu.atoms]
+        )
+
+    mu, nu = grid_measure(), grid_measure()
+    exact = wasserstein_pow(mu, nu, 2)
+    approx = wasserstein_pow(as_floats(mu), as_floats(nu), 2)
+    assert type(exact) is F and type(approx) is float
+    assert abs(approx - exact) <= 1e-9 * exact
