@@ -31,11 +31,9 @@ from .measure import (
 )
 from .scalars import ConstraintError, ParseError
 from .transport import (
-    GluedPlan,
     TransportPlan,
     active_kernel,
     brute_force_wasserstein,
-    glue,
     is_unique_optimal_plan,
     wasserstein,
     wasserstein_pow,

@@ -123,10 +123,6 @@ def project_point(line: DiagonalLine, y: Point2) -> Point2:
     return Point2(halve(y.x1 - y.x2 + line.a), halve(y.x2 - y.x1 + line.a))
 
 
-def line_distance(line: DiagonalLine, y: Point2) -> Scalar:
-    return dm(y, project_point(line, y))
-
-
 def direction_alloc(line: DiagonalLine, y: Point2) -> Point2:
     """Unit-speed escape direction e(y) away from the diagonal line.
 
@@ -166,14 +162,6 @@ def midpoint_box(x: Point2, y: Point2) -> tuple[Point2, Point2]:
     r = halve(dm(x, y))
     lo = Point2(max(x.x1, y.x1) - r, max(x.x2, y.x2) - r)
     hi = Point2(min(x.x1, y.x1) + r, min(x.x2, y.x2) + r)
-    return lo, hi
-
-
-def midpoint_witnesses(x: Point2, y: Point2) -> tuple[Point2, Point2]:
-    """Two distinct metric midpoints of a pair with |dx1| != |dx2|."""
-    if same_diagonal(x, y):
-        raise ConstraintError("midpoint is unique for a co-diagonal pair")
-    lo, hi = midpoint_box(x, y)
     return lo, hi
 
 

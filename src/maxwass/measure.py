@@ -126,7 +126,7 @@ class DiscreteMeasure:
 
     @classmethod
     def from_json_dict(cls, data, square_mode: bool = False) -> "DiscreteMeasure":
-        if not isinstance(data, dict) or "atoms" not in data:
+        if not isinstance(data, dict) or not isinstance(data.get("atoms"), list):
             raise ParseError("measure JSON must be an object with an 'atoms' array")
         atoms = []
         for entry in data["atoms"]:

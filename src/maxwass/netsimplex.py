@@ -25,6 +25,10 @@ depths and potentials from the costs along the tree, so float
 potentials equal a full rebuild from the root and never drift.  The
 pivot count is capped at a multiple of m*n, far above what the
 instances here need (under m*n/5 on 20x20 and 40x40 1/8-grid ones).
+
+A solve returns the total, the positive flows and the final row and
+column potentials, which `transport.is_unique_optimal_plan` reads as
+the optimal dual.
 """
 
 from __future__ import annotations
@@ -38,8 +42,11 @@ def solve_transportation(cost, supply, demand, tol=0):
     """Minimize sum(cost[i][j] * x[i][j]) over the transportation polytope.
 
     cost: m x n nested sequences; supply, demand: positive sequences with
-    equal totals.  Returns (total_cost, flows) where flows maps (i, j)
-    to the positive optimal flow values of one optimal vertex.
+    equal totals.  Returns (total_cost, flows, u, v): flows maps (i, j)
+    to the positive flow values of one optimal vertex, and the row and
+    column potentials u, v of its final basis are an optimal dual:
+    cost[i][j] - u[i] - v[j] is >= -tol on every cell and 0 on the flows
+    (exactly on ints, up to rounding on floats).
     """
     m, n = len(supply), len(demand)
     flows = {}  # the basic cells and their flows
@@ -195,4 +202,4 @@ def solve_transportation(cost, supply, demand, tol=0):
     total = 0
     for (fi, fj), q in flows.items():
         total += cost[fi][fj] * q
-    return total, {cell: q for cell, q in flows.items() if q > 0}
+    return total, {cell: q for cell, q in flows.items() if q > 0}, u, v

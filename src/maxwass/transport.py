@@ -7,9 +7,8 @@ Two independent routes compute it:
 * `wasserstein` runs the network simplex, on Python ints whenever both
   measures are exact and p is a whole number, Diracs included, and on
   floats otherwise, where a one-atom side takes the product plan;
-* `brute_force_wasserstein` enumerates every vertex of the coupling
-  polytope and takes the minimum, which also yields the full set of
-  optimal vertex plans and hence uniqueness of the optimal coupling.
+* `brute_force_wasserstein` folds the minimum cost over every vertex of
+  the coupling polytope, and returns only that number.
 
 Exact problems reach both routes through `_integer_instance`, which
 scales coordinates and weights to integers; each route divides by the
@@ -17,6 +16,11 @@ scales once at the end.  Only that input is shared, never the search,
 so agreement between the two is a real check and is enforced wholesale
 by the acceptance suite.  Measures and plans fix their exactness when
 they are built, and every later decision reads that flag.
+
+Uniqueness of the optimal coupling (`is_unique_optimal_plan`) comes from
+one exact solve: the simplex's final potentials are an optimal dual, and
+a search over the cells they make tight decides whether a second optimal
+coupling exists, in near-linear time in the number of cells.
 """
 
 from __future__ import annotations
@@ -218,7 +222,7 @@ def _solve(mu: DiscreteMeasure, nu: DiscreteMeasure, p):
         cost, supply, demand, cost_scale, weight_scale = _integer_instance(
             mu, nu, int(p)
         )
-        total, flows = solve_transportation(cost, supply, demand, 0)
+        total, flows, _, _ = solve_transportation(cost, supply, demand, 0)
         power = Fraction(total, weight_scale * cost_scale)
         entries = [(i, j, Fraction(f, weight_scale)) for (i, j), f in flows.items()]
         return power, TransportPlan(mu, nu, entries)
@@ -238,7 +242,7 @@ def _solve(mu: DiscreteMeasure, nu: DiscreteMeasure, p):
     supply = [float(s) for s in mu.weights()]
     demand = [float(d) for d in nu.weights()]
     tol = 1e-11 * max(1.0, max(map(max, cost)))
-    total, flows = solve_transportation(cost, supply, demand, tol)
+    total, flows, _, _ = solve_transportation(cost, supply, demand, tol)
     plan = TransportPlan(mu, nu, [(i, j, q) for (i, j), q in flows.items()])
     return total, plan
 
@@ -260,31 +264,29 @@ def wasserstein_pow(mu: DiscreteMeasure, nu: DiscreteMeasure, p=2) -> Scalar:
 
 
 # ---------------------------------------------------------------------------
-# exhaustive oracle
+# exhaustive oracle and uniqueness
 
 _BRUTE_LIMIT = 36
 
 
-def _enumerate_optimal_vertices(cost, supply, demand):
-    """All minimum-cost vertices of an integer-margin transportation polytope.
+def _minimum_vertex_cost(cost, supply, demand):
+    """The least cost of a vertex of an integer-margin transportation polytope.
 
     Every vertex arises by repeatedly picking a cell, sending
     min(supply, demand) through it and retiring whichever line is
     exhausted (both on a tie), so a memoized recursion over residual
-    states visits each vertex exactly once and the additive cost lets
-    the minimum be folded into the same recursion.
+    states reaches every vertex and the additive cost lets the minimum
+    be folded into the same recursion.
     """
     memo = {}
 
     def solve(rows, cols):
         if not rows:
-            return 0, (frozenset(),)
+            return 0
         key = (rows, cols)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        best_cost = None
-        best = set()
+        best = memo.get(key)
+        if best is not None:
+            return best
         for a, (i, s) in enumerate(rows):
             crow = cost[i]
             for b, (j, d) in enumerate(cols):
@@ -300,17 +302,11 @@ def _enumerate_optimal_vertices(cost, supply, demand):
                     q = s
                     nrows = rows[:a] + rows[a + 1:]
                     ncols = cols[:b] + cols[b + 1:]
-                tail_cost, tails = solve(nrows, ncols)
-                c = crow[j] * q + tail_cost
-                if best_cost is None or c < best_cost:
-                    best_cost = c
-                    best = set()
-                if c == best_cost:
-                    for t in tails:
-                        best.add(t | {(i, j, q)})
-        result = (best_cost, tuple(best))
-        memo[key] = result
-        return result
+                c = crow[j] * q + solve(nrows, ncols)
+                if best is None or c < best:
+                    best = c
+        memo[key] = best
+        return best
 
     rows = tuple((i, s) for i, s in enumerate(supply))
     cols = tuple((j, d) for j, d in enumerate(demand))
@@ -318,9 +314,9 @@ def _enumerate_optimal_vertices(cost, supply, demand):
 
 
 def brute_force_wasserstein(mu: DiscreteMeasure, nu: DiscreteMeasure, p=2):
-    """Exact minimum over all coupling-polytope vertices, plus every
-    minimizing vertex as a TransportPlan.
+    """Exact minimum over all coupling-polytope vertices.
 
+    Returns (distance, power) with the exact p-th power of the distance.
     Only defined for exact measures with integer p and support product
     at most 36; meant as the independent check of `wasserstein`.
     """
@@ -333,76 +329,59 @@ def brute_force_wasserstein(mu: DiscreteMeasure, nu: DiscreteMeasure, p=2):
             f"the oracle bound {_BRUTE_LIMIT}"
         )
     cost, supply, demand, cost_scale, weight_scale = _integer_instance(mu, nu, int(p))
-    best_scaled, vertices = _enumerate_optimal_vertices(cost, supply, demand)
-    plans = tuple(
-        TransportPlan(
-            mu, nu, [(i, j, Fraction(f, weight_scale)) for i, j, f in sorted(v)]
-        )
-        for v in vertices
-    )
-    return root_p(Fraction(best_scaled, weight_scale * cost_scale), p), plans
+    best_scaled = _minimum_vertex_cost(cost, supply, demand)
+    power = Fraction(best_scaled, weight_scale * cost_scale)
+    return root_p(power, p), power
 
 
 def is_unique_optimal_plan(mu: DiscreteMeasure, nu: DiscreteMeasure, p=2) -> bool:
-    """True iff exactly one vertex of the coupling polytope is optimal.
+    """True iff the optimal coupling is unique, read off one exact solve.
 
-    A second optimal vertex would make every convex mix optimal too, so
-    this is exactly uniqueness of the optimal coupling.
+    The solver's potentials u, v are an optimal dual, so the optimal
+    couplings are the couplings carried by the tight cells, where
+    cost = u_i + v_j.  Another one exists iff mass can move around a
+    cycle that adds to tight cells and takes from cells of the plan:
+    in the digraph with row i -> column j on every tight cell and
+    column j -> row i on every cell of the plan, some tight cell outside
+    the plan joins a row reachable from its own column.  The plan's
+    cells go both ways, so each of its trees is strongly connected:
+    contract the trees and the optimum is unique iff the tight cells
+    outside the plan leave the contracted graph acyclic.
     """
     if not is_integer_exponent(p):
         raise ConstraintError("uniqueness detection needs an integer exponent")
-    _, plans = brute_force_wasserstein(mu, nu, p)
-    return len(plans) == 1
+    _require_valid_p(p)
+    if not _is_exact_problem(mu, nu, p):
+        raise ConstraintError("uniqueness detection needs exact measures")
+    cost, supply, demand, _, _ = _integer_instance(mu, nu, int(p))
+    _, flows, u, v = solve_transportation(cost, supply, demand, 0)
+    m = len(supply)
+    tree = list(range(m + len(demand)))  # node k < m is row k, m + j column j
 
+    def find(k):
+        while tree[k] != k:
+            tree[k] = tree[tree[k]]
+            k = tree[k]
+        return k
 
-# ---------------------------------------------------------------------------
-# gluing
-
-@dataclass(frozen=True)
-class GluedPlan:
-    """A three-way coupling built from plans sharing a middle measure."""
-
-    source: DiscreteMeasure
-    middle: DiscreteMeasure
-    target: DiscreteMeasure
-    entries: tuple[tuple[int, int, int, Scalar], ...]
-
-    def marginal_12(self) -> TransportPlan:
-        return TransportPlan(
-            self.source,
-            self.middle,
-            [(i, j, w) for i, j, _, w in self.entries],
-        )
-
-    def marginal_23(self) -> TransportPlan:
-        return TransportPlan(
-            self.middle,
-            self.target,
-            [(j, k, w) for _, j, k, w in self.entries],
-        )
-
-    def marginal_13(self) -> TransportPlan:
-        return TransportPlan(
-            self.source,
-            self.target,
-            [(i, k, w) for i, _, k, w in self.entries],
-        )
-
-
-def glue(p12: TransportPlan, p23: TransportPlan) -> GluedPlan:
-    """Compose two plans through their common middle marginal.
-
-    Conditional independence given the middle atom: each unit of mass in
-    atom j splits towards the targets proportionally to p23's row j.
-    """
-    if p12.target != p23.source:
-        raise ConstraintError("plans do not share their middle measure")
-    middle_w = p12.target.weights()
-    by_row = {}
-    for j, k, w in p23.entries:
-        by_row.setdefault(j, []).append((k, w))
-    entries = []
-    for i, j, w12 in p12.entries:
-        for k, w23 in by_row.get(j, ()):
-            entries.append((i, j, k, w12 * w23 / middle_w[j]))
-    return GluedPlan(p12.source, p12.target, p23.target, tuple(entries))
+    for i, j in flows:
+        tree[find(i)] = find(m + j)
+    comp = [find(k) for k in range(len(tree))]
+    roots = set(comp)
+    # Kahn's algorithm on the contracted graph; a self-loop never clears
+    succ = [[] for _ in comp]
+    indegree = [0] * len(comp)
+    for i, row in enumerate(cost):
+        for j, c in enumerate(row):
+            if c == u[i] + v[j] and (i, j) not in flows:
+                succ[comp[i]].append(comp[m + j])
+                indegree[comp[m + j]] += 1
+    ready = [k for k in roots if indegree[k] == 0]
+    cleared = 0
+    while ready:
+        cleared += 1
+        for b in succ[ready.pop()]:
+            indegree[b] -= 1
+            if indegree[b] == 0:
+                ready.append(b)
+    return cleared == len(roots)

@@ -26,7 +26,6 @@ from maxwass.verify import (
     check_dirac_char,
     check_unique_geodesic,
     rand_measure,
-    rand_measure_in_F,
     rand_measure_on_line,
     reproduce_w2_table,
     run_suite,
@@ -353,6 +352,13 @@ def test_criterion_6_grid_perturbation():
         f"equal-distance triple a^(1/p)c0 and sole enumerated minimizer "
         f"mu' on {checked} instances ({total_tables} candidate tables)",
     )
+
+
+def rand_measure_in_F(rng, max_atoms: int = 3, box: int = 3) -> DiscreteMeasure:
+    while True:
+        mu = rand_measure(rng, max_atoms, box)
+        if mu.support_size >= 2 and in_family_F(mu):
+            return mu
 
 
 def test_criterion_7_radon_round_trip():

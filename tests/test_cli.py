@@ -217,6 +217,16 @@ def test_non_finite_scalar_is_parse_error(tmp_path, coord, flags):
     assert "error:" in out.stderr
 
 
+@pytest.mark.parametrize("atoms", ["5", "null", '"abc"', "{}"])
+def test_non_array_atoms_is_parse_error(tmp_path, atoms):
+    path = tmp_path / "bad.json"
+    path.write_text('{"atoms": %s}' % atoms)
+    out = run_cli("dist", str(path), "--dirac", "0,0")
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr == "error: measure JSON must be an object with an 'atoms' array\n"
+
+
 def test_dist_plan_csv(measures, tmp_path):
     plan_file = tmp_path / "plan.csv"
     out = run_cli(

@@ -1,11 +1,11 @@
-"""Solver tests: exact optima, metric axioms, plans, gluing."""
+"""Solver tests: exact optima, metric axioms, plans, uniqueness."""
 
 import io
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from maxwass import transport
@@ -15,9 +15,9 @@ from maxwass.netsimplex import solve_transportation
 from maxwass.scalars import ConstraintError
 from maxwass.transport import (
     TransportPlan,
-    _enumerate_optimal_vertices,
+    _integer_instance,
+    _minimum_vertex_cost,
     brute_force_wasserstein,
-    glue,
     is_unique_optimal_plan,
     product_plan,
     wasserstein,
@@ -65,17 +65,57 @@ def test_dirac_fast_path_cost():
     assert pw == F(1, 3) * 1 + F(2, 3) * 4
 
 
+def enumerate_optimal_vertices(cost, supply, demand):
+    """Every minimum-cost vertex of an integer-margin transportation
+    polytope, as frozensets of (i, j, flow), with their cost.
+
+    Every vertex arises by repeatedly picking a cell, sending
+    min(supply, demand) through it and retiring whichever line is
+    exhausted (both on a tie), so a memoized recursion over residual
+    states visits each vertex; exponential, the reference for
+    uniqueness on small instances.
+    """
+    memo = {}
+
+    def spend(lines, a, q):
+        """lines with line a's residual lowered by q, retired at zero."""
+        k, left = lines[a][0], lines[a][1] - q
+        return lines[:a] + (((k, left),) if left else ()) + lines[a + 1:]
+
+    def solve(rows, cols):
+        if not rows:
+            return 0, {frozenset()}
+        if (rows, cols) not in memo:
+            best_cost, best = None, set()
+            for a, (i, s) in enumerate(rows):
+                for b, (j, d) in enumerate(cols):
+                    q = min(s, d)
+                    tail_cost, tails = solve(spend(rows, a, q), spend(cols, b, q))
+                    c = cost[i][j] * q + tail_cost
+                    if best_cost is None or c < best_cost:
+                        best_cost, best = c, set()
+                    if c == best_cost:
+                        best |= {t | {(i, j, q)} for t in tails}
+            memo[rows, cols] = best_cost, best
+        return memo[rows, cols]
+
+    return solve(tuple(enumerate(supply)), tuple(enumerate(demand)))
+
+
+TIE_MU = DiscreteMeasure(
+    [(Point2(F(0), F(0)), F(1, 2)), (Point2(F(1), F(1)), F(1, 2))]
+)
+TIE_NU = DiscreteMeasure(
+    [(Point2(F(0), F(1)), F(1, 2)), (Point2(F(1), F(0)), F(1, 2))]
+)
+
+
 def test_known_tie_instance_has_two_optima():
-    mu = DiscreteMeasure(
-        [(Point2(F(0), F(0)), F(1, 2)), (Point2(F(1), F(1)), F(1, 2))]
-    )
-    nu = DiscreteMeasure(
-        [(Point2(F(0), F(1)), F(1, 2)), (Point2(F(1), F(0)), F(1, 2))]
-    )
-    d, plans = brute_force_wasserstein(mu, nu, 1)
-    assert d == 1
-    assert len(plans) == 2
-    assert not is_unique_optimal_plan(mu, nu, 1)
+    d, power = brute_force_wasserstein(TIE_MU, TIE_NU, 1)
+    assert d == power == 1
+    _, vertices = enumerate_optimal_vertices(*_integer_instance(TIE_MU, TIE_NU, 1)[:3])
+    assert len(vertices) == 2
+    assert not is_unique_optimal_plan(TIE_MU, TIE_NU, 1)
 
 
 def test_solver_matches_oracle_small_batch():
@@ -83,9 +123,71 @@ def test_solver_matches_oracle_small_batch():
     for k in range(60):
         p = (1, 2, 3)[k % 3]
         mu, nu = rand_measure(rng), rand_measure(rng)
-        _, plan = wasserstein(mu, nu, p)
-        _, plans = brute_force_wasserstein(mu, nu, p)
-        assert plan.cost_pow(p) == plans[0].cost_pow(p)
+        assert wasserstein_pow(mu, nu, p) == brute_force_wasserstein(mu, nu, p)[1]
+
+
+@st.composite
+def small_pair(draw):
+    """Two exact measures with at most 16 cells between them, on the
+    1/2 grid of [-1, 1]^2 so that costs tie often; equal or random
+    weights.  Repeated points merge."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 16 // m))
+    equal = draw(st.booleans())
+    coord = st.integers(-2, 2).map(lambda k: F(k, 2))
+    measures = []
+    for size in (m, n):
+        points = [Point2(draw(coord), draw(coord)) for _ in range(size)]
+        parts = [1 if equal else draw(st.integers(1, 12)) for _ in points]
+        measures.append(
+            DiscreteMeasure([(x, F(r, sum(parts))) for x, r in zip(points, parts)])
+        )
+    return measures
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=small_pair(), p=st.sampled_from((1, 2, 3)))
+@example(pair=(TIE_MU, TIE_NU), p=1)
+def test_uniqueness_agrees_with_the_vertex_enumeration(pair, p):
+    """The dual-graph verdict is True iff exactly one vertex is optimal;
+    a second optimal vertex makes every convex mix optimal too."""
+    mu, nu = pair
+    cost, supply, demand, _, _ = _integer_instance(mu, nu, p)
+    _, vertices = enumerate_optimal_vertices(cost, supply, demand)
+    assert is_unique_optimal_plan(mu, nu, p) == (len(vertices) == 1)
+
+
+def test_uniqueness_has_no_size_limit():
+    """40x40 instances of known answer: a measure against itself has the
+    identity as its only optimal coupling, and twenty far-apart copies
+    of the tie instance have two optimal couplings per copy."""
+    rng = random.Random(40)
+    points = set()
+    while len(points) < 40:
+        points.add(Point2(rand_frac(rng), rand_frac(rng)))
+    mu = DiscreteMeasure([(x, F(1, 40)) for x in sorted(points)])
+    assert is_unique_optimal_plan(mu, mu, 2)
+
+    def copies(measure):
+        return DiscreteMeasure(
+            [
+                (Point2(x.x1 + 10 * k, x.x2), w / 20)
+                for k in range(20)
+                for x, w in measure.atoms
+            ]
+        )
+
+    mu, nu = copies(TIE_MU), copies(TIE_NU)
+    assert mu.support_size == nu.support_size == 40
+    assert not is_unique_optimal_plan(mu, nu, 1)
+
+
+def test_uniqueness_needs_an_exact_problem():
+    with pytest.raises(ConstraintError, match="integer exponent"):
+        is_unique_optimal_plan(TIE_MU, TIE_NU, 1.5)
+    floats = DiscreteMeasure([(Point2(0.0, 0.0), 0.5), (Point2(1.0, 1.0), 0.5)])
+    with pytest.raises(ConstraintError, match="exact measures"):
+        is_unique_optimal_plan(floats, TIE_NU, 1)
 
 
 def test_metric_axioms_exact():
@@ -174,35 +276,6 @@ def test_product_plan_marginals():
     assert total == 1
 
 
-def test_glue_composes_plans():
-    rng = random.Random(97)
-    for _ in range(20):
-        mu, nu, eta = (rand_measure(rng, 3) for _ in range(3))
-        _, p12 = wasserstein(mu, nu, 1)
-        _, p23 = wasserstein(nu, eta, 1)
-        glued = glue(p12, p23)
-        assert glued.marginal_12() == p12
-        assert glued.marginal_23() == p23
-        p13 = glued.marginal_13()
-        # the glued composite is a coupling of (mu, eta): its cost bounds
-        # the distance, giving the triangle inequality constructively
-        cost13 = sum(w * dm(mu.points()[i], eta.points()[k]) for i, k, w in p13.entries)
-        d12 = wasserstein_pow(mu, nu, 1)
-        d23 = wasserstein_pow(nu, eta, 1)
-        d13 = wasserstein_pow(mu, eta, 1)
-        assert d13 <= cost13 <= d12 + d23
-
-
-def test_glue_requires_matching_middle():
-    rng = random.Random(101)
-    mu, nu, eta = (rand_measure(rng, 3) for _ in range(3))
-    _, p12 = wasserstein(mu, nu, 1)
-    _, p23 = wasserstein(eta, mu, 1)
-    if p12.target != p23.source:
-        with pytest.raises(ConstraintError):
-            glue(p12, p23)
-
-
 def test_invalid_p_rejected():
     mu = DiscreteMeasure.dirac(Point2(F(0), F(0)))
     with pytest.raises(ConstraintError):
@@ -213,9 +286,12 @@ def test_invalid_p_rejected():
 
 def test_raw_transportation_solver_exact():
     cost = [[F(1), F(3)], [F(2), F(1)]]
-    total, flows = solve_transportation(cost, [F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)])
+    total, flows, u, v = solve_transportation(cost, [F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)])
     assert total == F(1)
     assert flows == {(0, 0): F(1, 2), (1, 1): F(1, 2)}
+    # an optimal dual: no negative reduced cost, tight on the flows
+    assert all(cost[i][j] >= u[i] + v[j] for i in range(2) for j in range(2))
+    assert all(cost[i][j] == u[i] + v[j] for i, j in flows)
 
 
 def test_degenerate_margins_terminate():
@@ -225,7 +301,7 @@ def test_degenerate_margins_terminate():
     supply = [F(1, n)] * n
     demand = [F(1, n)] * n
     cost = [[F((i * 7 + j * 11) % 5) for j in range(n)] for i in range(n)]
-    total, flows = solve_transportation(cost, supply, demand)
+    total, flows, _, _ = solve_transportation(cost, supply, demand)
     assert total >= 0
     assert sum(flows.values()) == 1
 
@@ -239,9 +315,9 @@ def test_float_power_is_the_rooted_solver_total(monkeypatch):
     totals = []
 
     def recording(*args, **kwargs):
-        total, flows = solve_transportation(*args, **kwargs)
-        totals.append(total)
-        return total, flows
+        result = solve_transportation(*args, **kwargs)
+        totals.append(result[0])
+        return result
 
     monkeypatch.setattr(transport, "solve_transportation", recording)
     distance, _ = wasserstein(mu, nu, 2)
@@ -297,7 +373,7 @@ def exact_pair(draw, kind, square):
 def fraction_simplex(mu, nu, q):
     """The unscaled instance straight through the simplex on Fractions."""
     cost = [[dm(x, y) ** q for y in nu.points()] for x in mu.points()]
-    total, flows = solve_transportation(cost, mu.weights(), nu.weights(), 0)
+    total, flows, _, _ = solve_transportation(cost, mu.weights(), nu.weights(), 0)
     return total, TransportPlan(mu, nu, [(i, j, f) for (i, j), f in flows.items()])
 
 
@@ -333,9 +409,9 @@ def test_exact_solves_pass_only_ints_to_the_simplex(monkeypatch):
         p = (1, 2, 3)[k % 3]
         wasserstein_pow(rand_measure(rng), rand_measure(rng), p)
     assert calls
-    for cost, supply, demand, tol, (total, flows) in calls:
+    for cost, supply, demand, tol, (total, flows, u, v) in calls:
         values = [c for row in cost for c in row]
-        values += [*supply, *demand, tol, total, *flows.values()]
+        values += [*supply, *demand, tol, total, *flows.values(), *u, *v]
         assert all(type(v) is int for v in values)
     # exact Diracs take the integer simplex too
     assert any(1 in (len(supply), len(demand)) for _, supply, demand, _, _ in calls)
@@ -438,9 +514,9 @@ def test_every_solve_returns_a_vertex(instance, floats):
         supply_f = [s / total_mass for s in supply]
         demand_f = [d / total_mass for d in demand]
         tol = 1e-11 * max(1.0, max(map(max, cost_f)))
-        total, flows = solve_transportation(cost_f, supply_f, demand_f, tol)
+        total, flows, _, _ = solve_transportation(cost_f, supply_f, demand_f, tol)
     else:
-        total, flows = solve_transportation(cost, supply, demand, 0)
+        total, flows, _, _ = solve_transportation(cost, supply, demand, 0)
     assert_vertex(flows, m, n)
     row, col = [0] * m, [0] * n
     for (i, j), q in flows.items():
@@ -452,9 +528,9 @@ def test_every_solve_returns_a_vertex(instance, floats):
         return
     assert row == supply and col == demand
     assert total == sum(cost[i][j] * q for (i, j), q in flows.items())
-    # the enumeration takes up to 0.2 s at 16 cells and 9-60 s at 36
+    # the oracle takes up to 0.1 s at 16 cells and seconds at 36
     if m * n <= 16:
-        assert total == _enumerate_optimal_vertices(cost, supply, demand)[0]
+        assert total == _minimum_vertex_cost(cost, supply, demand)
 
 
 def test_150x150_solves_exactly_and_in_floats():

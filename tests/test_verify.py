@@ -3,9 +3,11 @@
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from maxwass import cli
 from maxwass.geometry import DiagonalLine, Point2
 from maxwass.measure import DiscreteMeasure
 from maxwass.scalars import ConstraintError, ParseError
@@ -66,13 +68,25 @@ def test_all_suite_names_registered():
 
 @pytest.mark.parametrize(
     "suite",
-    ["w2-table", "q-corners", "q-saturation", "q-sides", "q-functional", "unique-geodesic"],
+    [
+        "w2-table",
+        "q-corners",
+        "q-saturation",
+        "q-sides",
+        "q-functional",
+        "unique-geodesic",
+        "diag-char",
+        "dirac-char",
+    ],
 )
-def test_fast_suites_pass(suite):
-    reports = run_suite(suite, seed=0)
-    assert reports
-    for report in reports:
-        assert report.passed, (report.name, report.failures[:2])
+def test_fast_suites_pass(suite, capsys, monkeypatch):
+    """`maxwass verify SUITE --seed 0` passes and prints exactly the
+    report pinned under tests/data/verify/."""
+    monkeypatch.delenv("MAXWASS_SEED", raising=False)
+    code = cli.main(["verify", suite, "--seed", "0"])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert out == (Path(__file__).parent / "data" / "verify" / f"{suite}.txt").read_text()
 
 
 def test_seeded_suites_are_deterministic():
