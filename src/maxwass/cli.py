@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import os
 import sys
@@ -30,7 +31,7 @@ from .scalars import (
     scalar_to_json,
     to_exact,
 )
-from .transport import _solve
+from .transport import TransportPlan, _solve
 from .verify import SUITES, run_suite
 from .wgeom import (
     displacement_interpolation,
@@ -179,27 +180,43 @@ def _emit_measure(mu: DiscreteMeasure, config: RunConfig) -> None:
 def cmd_dist(args) -> int:
     config = _config(args, default_format="table")
     mu, nu = _gather_measures(args, config, 2)
-    power, plan = _solve(mu, nu, config.p)
-    if args.plan:
-        with open(args.plan, "w", encoding="utf-8", newline="") as handle:
-            plan.to_csv(handle, config.p)
+    power, entries = _solve(mu, nu, config.p)
+    if args.plan or config.output_format == "csv":
+        plan = TransportPlan(mu, nu, entries)
+        rows = io.StringIO()
+        _render_exact(lambda: plan.to_csv(rows, config.p))
+        if args.plan:
+            with open(args.plan, "w", encoding="utf-8", newline="") as handle:
+                handle.write(rows.getvalue())
     if config.output_format == "json":
         _emit_json(
             {
                 "p": config.p if isinstance(config.p, int) else scalar_to_json(config.p),
                 "mode": config.mode,
                 "exact": config.exact,
-                "power": scalar_to_json(power),
+                "power": _render_exact(lambda: scalar_to_json(power)),
                 "distance": _float_distance(power, config.p),
             }
         )
     elif config.output_format == "csv":
-        plan.to_csv(sys.stdout, config.p)
+        sys.stdout.write(rows.getvalue())
     elif config.exact:
-        print(power)
+        print(_render_exact(lambda: str(power)))
     else:
         print(repr(_float_distance(power, config.p)))
     return 0
+
+
+def _render_exact(render):
+    """render(), or a ConstraintError when an exact number in its text
+    has more digits than Python converts an int to text."""
+    try:
+        return render()
+    except ValueError:
+        raise ConstraintError(
+            "an exact result has more digits than Python prints; "
+            "the table format without --exact prints the float distance"
+        ) from None
 
 
 def _float_distance(power, p) -> float:
@@ -386,7 +403,7 @@ def cmd_reproduce(args) -> int:
 # ---------------------------------------------------------------------------
 # parser assembly
 
-def _add_common(sub, p=True, mode=True, exact=True, seed=True, fmt=True):
+def _add_common(sub, p=True, mode=True, exact=True):
     if p:
         sub.add_argument("--p", default="2", help="transport exponent (default 2)")
     if mode:
@@ -402,20 +419,18 @@ def _add_common(sub, p=True, mode=True, exact=True, seed=True, fmt=True):
             action="store_true",
             help="exact rational arithmetic; distances print as p-th powers",
         )
-    if seed:
-        sub.add_argument(
-            "--seed",
-            type=int,
-            default=0,
-            help="randomness seed (env MAXWASS_SEED overrides)",
-        )
-    if fmt:
-        sub.add_argument(
-            "--format",
-            choices=("json", "csv", "table"),
-            default=None,
-            help="output format (default depends on the subcommand)",
-        )
+    sub.add_argument(
+        "--seed",
+        type=int,
+        default=0,
+        help="randomness seed (env MAXWASS_SEED overrides)",
+    )
+    sub.add_argument(
+        "--format",
+        choices=("json", "csv", "table"),
+        default=None,
+        help="output format (default depends on the subcommand)",
+    )
 
 
 def _add_measure_args(sub, count):
@@ -511,14 +526,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "suite", help="one of %s or 'all'" % ", ".join(sorted(SUITES))
     )
-    _add_common(p_verify, p=False, mode=False)
+    _add_common(p_verify, p=False, mode=False, exact=False)
     p_verify.set_defaults(func=cmd_verify)
 
     p_repro = sub.add_parser(
-        "reproduce-paper", help="run every verification suite in exact arithmetic"
+        "reproduce-paper", help="run every verification suite, as verify all does"
     )
     _add_common(p_repro, p=False, mode=False, exact=False)
-    p_repro.set_defaults(func=cmd_reproduce, exact=True)
+    p_repro.set_defaults(func=cmd_reproduce)
 
     return parser
 

@@ -27,8 +27,10 @@ pivot count is capped at a multiple of m*n, far above what the
 instances here need (under m*n/5 on 20x20 and 40x40 1/8-grid ones).
 
 A solve returns the total, the positive flows and the final row and
-column potentials, which `transport.is_unique_optimal_plan` reads as
-the optimal dual.
+column potentials.  On exact problems `transport._certified_solve`
+checks them as an optimality certificate, independently of the pivots
+that produced them, and `transport.is_unique_optimal_plan` reads the
+potentials as the optimal dual.
 """
 
 from __future__ import annotations

@@ -17,9 +17,18 @@ so agreement between the two is a real check and is enforced wholesale
 by the acceptance suite.  Measures and plans fix their exactness when
 they are built, and every later decision reads that flag.
 
+Every exact solve goes through `_certified_solve`: the simplex's final
+potentials u, v are checked in ints on the scaled instance against its
+flows x (x >= 0 with the exact margins, c - u_i - v_j >= 0 on every
+cell, and sum c*x == sum u*a + sum v*b), which proves the vertex optimal
+without trusting the pivot path.  A failed certificate raises
+RuntimeError.  A solve returns the power and the (i, j, weight) entries
+of its vertex; only `wasserstein` and the plan outputs of the CLI wrap
+them in a `TransportPlan`, so `wasserstein_pow` builds no plan.
+
 Uniqueness of the optimal coupling (`is_unique_optimal_plan`) comes from
-one exact solve: the simplex's final potentials are an optimal dual, and
-a search over the cells they make tight decides whether a second optimal
+the same certified solve: its potentials are an optimal dual, and a
+search over the cells they make tight decides whether a second optimal
 coupling exists, in near-linear time in the number of cells.
 """
 
@@ -27,6 +36,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -48,6 +58,10 @@ def active_kernel() -> str:
     return "pure"
 
 
+#: how far a float plan's margins may stray from the measures' weights
+_FLOAT_MARGIN_TOL = 1e-9
+
+
 def _require_valid_p(p):
     if isinstance(p, bool) or p < 1:
         raise ConstraintError(f"exponent p must be >= 1, got {p!r}")
@@ -63,6 +77,12 @@ def _cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, p):
     return [[float(dm(x, y)) ** fp for y in ys] for x in xs]
 
 
+#: the most bits an exact cost dm^q or its scale L^q may take; far
+#: beyond any instance of interest, and it keeps a huge p from
+#: building numbers that exhaust memory or time
+_MAX_COST_BITS = 1 << 16
+
+
 def _integer_instance(mu: DiscreteMeasure, nu: DiscreteMeasure, q: int):
     """The exact problem at integer scale.
 
@@ -73,7 +93,8 @@ def _integer_instance(mu: DiscreteMeasure, nu: DiscreteMeasure, q: int):
     cost_scale = L^q and weight_scale = W: a total cost divides by
     W * L^q and a flow by W.  Positive scaling keeps the sign of every
     comparison, so the optimal vertices are those of the rational
-    instance.
+    instance.  A ConstraintError is raised before any power is taken
+    when dm^q or L^q would exceed _MAX_COST_BITS bits.
     """
     xs, ys = mu.points(), nu.points()
     # sets, not generators: star-unpacking a generator here held about
@@ -86,10 +107,14 @@ def _integer_instance(mu: DiscreteMeasure, nu: DiscreteMeasure, q: int):
 
     rows = [scaled(x, coord_scale) for x in xs]
     cols = [scaled(y, coord_scale) for y in ys]
-    cost = [
-        [max(abs(a1 - b1), abs(a2 - b2)) ** q for b1, b2 in cols]
-        for a1, a2 in rows
-    ]
+    cost = [[max(abs(a1 - b1), abs(a2 - b2)) for b1, b2 in cols] for a1, a2 in rows]
+    # b.bit_length() - 1 bits per factor is a lower bound on the size of b^q
+    if q * (max(coord_scale, max(map(max, cost))).bit_length() - 1) > _MAX_COST_BITS:
+        raise ConstraintError(
+            f"an exact cost dm^p would exceed {_MAX_COST_BITS} bits; use a smaller p"
+        )
+    if q != 1:
+        cost = [[d**q for d in row] for row in cost]
     supply = scaled(mu.weights(), weight_scale)
     demand = scaled(nu.weights(), weight_scale)
     return cost, supply, demand, coord_scale**q, weight_scale
@@ -154,7 +179,7 @@ class TransportPlan:
                 if self.exact:
                     ok = g == scaled(t)
                 else:
-                    ok = abs(float(g) - float(t)) <= 1e-9
+                    ok = abs(float(g) - float(t)) <= _FLOAT_MARGIN_TOL
                 if not ok:
                     if self.exact:
                         g = Fraction(g, scale)
@@ -199,40 +224,97 @@ class TransportPlan:
             )
 
 
-def product_plan(mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportPlan:
-    """The independent coupling; optimal whenever one side is a Dirac."""
-    entries = [
+def _product_entries(mu: DiscreteMeasure, nu: DiscreteMeasure) -> list:
+    return [
         (i, j, wi * wj)
         for i, (_, wi) in enumerate(mu.atoms)
         for j, (_, wj) in enumerate(nu.atoms)
     ]
-    return TransportPlan(mu, nu, entries)
+
+
+def product_plan(mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportPlan:
+    """The independent coupling; optimal whenever one side is a Dirac."""
+    return TransportPlan(mu, nu, _product_entries(mu, nu))
+
+
+def _margins(flows, m: int, n: int):
+    row, col = [0] * m, [0] * n
+    for (i, j), x in flows.items():
+        row[i] += x
+        col[j] += x
+    return row, col
+
+
+def _certificate_failure(cost, supply, demand, solution):
+    """The first optimality condition an integer solution fails, or None.
+
+    (total, flows, u, v) is optimal iff the flows are feasible (x >= 0,
+    row and column sums equal to supply and demand), the potentials are
+    dual feasible (c_ij - u_i - v_j >= 0 on every cell) and the two
+    objectives meet: total == sum c*x == sum u*a + sum v*b.  All checks
+    are exact and take O(m*n).
+    """
+    total, flows, u, v = solution
+    m, n = len(supply), len(demand)
+    if any(x < 0 for x in flows.values()) or _margins(flows, m, n) != (supply, demand):
+        return "primal feasibility"
+    if len(u) != m or len(v) != n or any(
+        min(map(operator.sub, row, v)) < ui for ui, row in zip(u, cost)
+    ):
+        return "dual feasibility"
+    primal = sum(cost[i][j] * x for (i, j), x in flows.items())
+    dual = sum(map(operator.mul, u, supply)) + sum(map(operator.mul, v, demand))
+    if not total == primal == dual:
+        return "strong duality"
+    return None
+
+
+def _certified_solve(mu: DiscreteMeasure, nu: DiscreteMeasure, q: int):
+    """The one exact solve: the integer instance, its simplex solution
+    and that solution's optimality certificate.
+
+    Returns (instance, solution), the tuples of `_integer_instance` and
+    `solve_transportation`.  A failed certificate is a solver bug and
+    raises RuntimeError, like the pivot cap; no answer is returned.
+    """
+    instance = _integer_instance(mu, nu, q)
+    cost, supply, demand, _, _ = instance
+    solution = solve_transportation(cost, supply, demand, 0)
+    failed = _certificate_failure(cost, supply, demand, solution)
+    if failed is not None:
+        raise RuntimeError(f"exact solve failed its optimality certificate: {failed}")
+    return instance, solution
 
 
 def _solve(mu: DiscreteMeasure, nu: DiscreteMeasure, p):
-    """The one solve path: (optimal cost power, one optimal plan).
+    """The one solve path: (optimal cost power, entries of one optimal plan).
 
     The power is exact when both measures are exact and p is a whole
     number, a float otherwise; either way it is the solver's own total.
-    Exact problems, Diracs included, are solved on their integer
-    instance and divided by its scales once at the end.
+    The entries are the (i, j, weight) cells of the vertex, for a
+    caller that keeps the plan to wrap in a `TransportPlan`.  Exact
+    problems, Diracs included, take `_certified_solve` and are divided
+    by the instance's scales once at the end; float flows must meet
+    every margin within the tolerance `TransportPlan` checks.
     """
     _require_valid_p(p)
     if _is_exact_problem(mu, nu, p):
-        cost, supply, demand, cost_scale, weight_scale = _integer_instance(
+        (*_, cost_scale, weight_scale), (total, flows, _, _) = _certified_solve(
             mu, nu, int(p)
         )
-        total, flows, _, _ = solve_transportation(cost, supply, demand, 0)
         power = Fraction(total, weight_scale * cost_scale)
-        entries = [(i, j, Fraction(f, weight_scale)) for (i, j), f in flows.items()]
-        return power, TransportPlan(mu, nu, entries)
+        return power, [(i, j, Fraction(f, weight_scale)) for (i, j), f in flows.items()]
 
     try:
         if mu.support_size == 1 or nu.support_size == 1:
             # the only coupling there is; its products w * 1.0 carry no
             # rounding residue from the simplex's northwest corner
-            plan = product_plan(mu, nu)
-            return plan.cost_pow(p), plan
+            entries = _product_entries(mu, nu)
+            xs, ys, fp = mu.points(), nu.points(), float(p)
+            power = 0
+            for i, j, w in entries:
+                power += float(dm(xs[i], ys[j])) ** fp * w
+            return power, entries
         cost = _cost_matrix(mu, nu, p)
     except OverflowError:
         raise ConstraintError(
@@ -243,8 +325,10 @@ def _solve(mu: DiscreteMeasure, nu: DiscreteMeasure, p):
     demand = [float(d) for d in nu.weights()]
     tol = 1e-11 * max(1.0, max(map(max, cost)))
     total, flows, _, _ = solve_transportation(cost, supply, demand, tol)
-    plan = TransportPlan(mu, nu, [(i, j, q) for (i, j), q in flows.items()])
-    return total, plan
+    row, col = _margins(flows, len(supply), len(demand))
+    if any(abs(g - t) > _FLOAT_MARGIN_TOL for g, t in zip(row + col, supply + demand)):
+        raise RuntimeError("float solve returned flows off their margins")
+    return total, [(i, j, x) for (i, j), x in flows.items()]
 
 
 def wasserstein(mu: DiscreteMeasure, nu: DiscreteMeasure, p=2):
@@ -254,12 +338,13 @@ def wasserstein(mu: DiscreteMeasure, nu: DiscreteMeasure, p=2):
     inputs; for p > 1 it is the float 1/p-th root of the exact power
     (use wasserstein_pow for the exact powered value).
     """
-    power, plan = _solve(mu, nu, p)
-    return root_p(power, p), plan
+    power, entries = _solve(mu, nu, p)
+    return root_p(power, p), TransportPlan(mu, nu, entries)
 
 
 def wasserstein_pow(mu: DiscreteMeasure, nu: DiscreteMeasure, p=2) -> Scalar:
-    """The p-th power of d_{W_p}; exact on exact inputs with integer p."""
+    """The p-th power of d_{W_p}, without building a plan; exact on exact
+    inputs with integer p."""
     return _solve(mu, nu, p)[0]
 
 
@@ -353,8 +438,7 @@ def is_unique_optimal_plan(mu: DiscreteMeasure, nu: DiscreteMeasure, p=2) -> boo
     _require_valid_p(p)
     if not _is_exact_problem(mu, nu, p):
         raise ConstraintError("uniqueness detection needs exact measures")
-    cost, supply, demand, _, _ = _integer_instance(mu, nu, int(p))
-    _, flows, u, v = solve_transportation(cost, supply, demand, 0)
+    (cost, supply, demand, _, _), (_, flows, u, v) = _certified_solve(mu, nu, int(p))
     m = len(supply)
     tree = list(range(m + len(demand)))  # node k < m is row k, m + j column j
 

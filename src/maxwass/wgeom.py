@@ -29,7 +29,7 @@ from .geometry import (
 )
 from .measure import DiscreteMeasure, GridMeasure, in_family_F, push_forward
 from .scalars import ConstraintError, Scalar, is_exact, scalar_to_json
-from .transport import wasserstein
+from .transport import wasserstein_pow
 
 
 def project_measure(line: DiagonalLine, mu: DiscreteMeasure) -> DiscreteMeasure:
@@ -96,7 +96,7 @@ def symmetric_w1(line: DiagonalLine, mu: DiscreteMeasure, nu: DiscreteMeasure) -
     """
     if not mu.supported_on(line):
         raise ConstraintError("mu must be supported on the given diagonal line")
-    t0, _ = wasserstein(mu, nu, 1)
+    t0 = wasserstein_pow(mu, nu, 1)
     if t0 == 0:
         return nu
     return push_forward(

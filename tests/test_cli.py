@@ -1,20 +1,31 @@
 """End-to-end tests for the command line interface."""
 
+import contextlib
+import csv
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from maxwass import cli
+from maxwass.measure import DiscreteMeasure
+from maxwass.transport import brute_force_wasserstein
 
 PKG = [sys.executable, "-m", "maxwass"]
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args, env_extra=None, timeout=None):
     env = dict(os.environ)
     env.pop("MAXWASS_SEED", None)
     # the child imports this checkout's package, installed or not
@@ -22,7 +33,7 @@ def run_cli(*args, env_extra=None):
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
-        PKG + list(args), capture_output=True, text=True, env=env
+        PKG + list(args), capture_output=True, text=True, env=env, timeout=timeout
     )
 
 
@@ -115,6 +126,35 @@ def test_dist_exact_power_beyond_float_range(fmt):
     else:
         distance = float(out.stdout)
     assert distance == pytest.approx(100, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--dirac", "0,0", "--dirac", "2,0", "--p", "1e400"],
+        ["--dirac", "0,0", "--dirac", "2,0", "--p", "100000000"],
+        ["--dirac", "0,0", "--dirac", "100,0", "--p", "3000", "--exact"],
+        ["--dirac", "0,0", "--dirac", "100,0", "--p", "3000", "--format", "json"],
+        ["--dirac", "0,0", "--dirac", "100,0", "--p", "3000", "--format", "csv"],
+    ],
+    ids=["p-1e400", "p-1e8", "3000-exact", "3000-json", "3000-csv"],
+)
+def test_dist_huge_exact_power_is_constraint_error(args):
+    """A cost dm^p too large to build, or an exact result too long to
+    print, is one error line and exit 3."""
+    out = run_cli("dist", *args, timeout=20)
+    assert out.returncode == 3
+    assert out.stdout == ""
+    assert out.stderr.startswith("error: ")
+    assert out.stderr.count("\n") == 1
+
+
+def test_dist_huge_exact_power_prints_its_float_distance():
+    out = run_cli(
+        "dist", "--dirac", "0,0", "--dirac", "100,0", "--p", "3000", timeout=20
+    )
+    assert out.returncode == 0
+    assert float(out.stdout) == pytest.approx(100, rel=1e-12)
 
 
 @pytest.mark.parametrize("p", ["1", "2"])
@@ -239,6 +279,66 @@ def test_dist_plan_csv(measures, tmp_path):
     assert len(lines) == 3
     assert lines[1].endswith("16")
     assert lines[2].endswith("4")
+
+
+@st.composite
+def exact_measure_json(draw):
+    """Up to 4 distinct points with mixed denominators and rational
+    weights, as a measure JSON object of exact strings."""
+    coord = st.builds(
+        Fraction, st.integers(-24, 24), st.sampled_from((1, 2, 3, 4, 6, 8))
+    )
+    points = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=4, unique=True))
+    parts = draw(st.lists(st.integers(1, 12), min_size=len(points), max_size=len(points)))
+    return {
+        "atoms": [
+            {"x": [str(x1), str(x2)], "w": str(Fraction(r, sum(parts)))}
+            for (x1, x2), r in zip(points, parts)
+        ]
+    }
+
+
+def parse_point(text):
+    return tuple(Fraction(c) for c in text.strip("[]").split(","))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=st.tuples(exact_measure_json(), exact_measure_json()), p=st.sampled_from((1, 2, 3)))
+def test_dist_exact_plan_is_optimal_end_to_end(pair, p):
+    """parse -> dist --exact --plan -> CSV: the plan's marginals are the
+    input weights exactly, each cost is dm^p of its two points, the
+    costs weighted by the plan sum to the printed power, and that power
+    is the brute-force minimum."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, name) for name in ("mu.json", "nu.json", "plan.csv")]
+        for path, data in zip(paths, pair):
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(data, handle)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["dist", *paths[:2], "--p", str(p), "--exact", "--plan", paths[2]])
+        with open(paths[2], encoding="utf-8", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+    assert code == 0
+    power = Fraction(out.getvalue())
+    sums = {}, {}
+    total = 0
+    for row in rows:
+        x, y = parse_point(row["x_i"]), parse_point(row["y_j"])
+        weight, cost = Fraction(row["weight"]), Fraction(row["cost"])
+        assert weight > 0
+        assert cost == max(abs(x[0] - y[0]), abs(x[1] - y[1])) ** p
+        total += cost * weight
+        for side, point in zip(sums, (x, y)):
+            side[point] = side.get(point, 0) + weight
+    assert total == power
+    for side, data in zip(sums, pair):
+        assert side == {
+            tuple(Fraction(c) for c in atom["x"]): Fraction(atom["w"])
+            for atom in data["atoms"]
+        }
+    mu, nu = (DiscreteMeasure.from_json_dict(data) for data in pair)
+    assert power == brute_force_wasserstein(mu, nu, p)[1]
 
 
 def test_dist_byte_identical(measures):
@@ -394,6 +494,12 @@ def test_main_shares_one_parser_across_calls(measures, capsys):
     second = capsys.readouterr().out.split("statements\n")[-1]
     assert first == second == "10\n"
     assert cli.build_parser() is cli.build_parser()
+
+
+def test_verify_takes_no_exact_flag():
+    out = run_cli("verify", "w2-table", "--exact")
+    assert out.returncode == 2
+    assert "unrecognized arguments: --exact" in out.stderr
 
 
 def test_verify_unknown_suite():

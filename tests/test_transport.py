@@ -388,7 +388,8 @@ def test_integer_instance_takes_the_fraction_pivots(kind, q, square, data):
     """Scaling to ints keeps every comparison, so the exact solve returns
     the power and the vertex of the simplex run on Fractions."""
     mu, nu = data.draw(exact_pair(kind, square))
-    power, plan = transport._solve(mu, nu, q)
+    power, entries = transport._solve(mu, nu, q)
+    plan = TransportPlan(mu, nu, entries)
     want_power, want_plan = fraction_simplex(mu, nu, q)
     assert type(power) is F
     assert power == want_power
@@ -426,7 +427,8 @@ def test_exact_dirac_solve_is_the_product_plan(p):
         dirac = DiscreteMeasure.dirac(Point2(rand_frac(rng), rand_frac(rng)))
         other = rand_measure(rng)
         for mu, nu in ((dirac, other), (other, dirac)):
-            power, plan = transport._solve(mu, nu, p)
+            power, entries = transport._solve(mu, nu, p)
+            plan = TransportPlan(mu, nu, entries)
             want = product_plan(mu, nu)
             assert type(power) is F
             assert power == want.cost_pow(p)
@@ -460,6 +462,126 @@ def test_plan_decides_exactness_once():
     assert approx.cost_pow(2) == pytest.approx(10.0)
     assert type(approx.cost_pow(2)) is float
     assert exact == TransportPlan(mu, nu, exact.entries)
+
+
+# ---------------------------------------------------------------------------
+# the optimality certificate of exact solves
+
+
+def line_pair(mu_x, nu_x, floats=False):
+    """Two atoms of mass 1/2 on the x1 axis per side."""
+    num = float if floats else F
+    half = 0.5 if floats else F(1, 2)
+    return tuple(
+        DiscreteMeasure([(Point2(num(x), num(0)), half) for x in xs])
+        for xs in (mu_x, nu_x)
+    )
+
+
+def fake_solver(monkeypatch, edit):
+    """Patch the simplex to return edit(its own solution, instance)."""
+
+    def fake(cost, supply, demand, tol=0):
+        return edit(solve_transportation(cost, supply, demand, tol), cost)
+
+    monkeypatch.setattr(transport, "solve_transportation", fake)
+
+
+def assert_every_solve_raises(mu, nu, match, exact=True):
+    for call in (wasserstein_pow, wasserstein) + (
+        (is_unique_optimal_plan,) if exact else ()
+    ):
+        with pytest.raises(RuntimeError, match=match):
+            call(mu, nu, 1)
+
+
+def test_certificate_rejects_a_feasible_non_optimal_vertex(monkeypatch):
+    """The crossing plan is a vertex with consistent tree potentials and
+    equal objectives, so only the negative reduced cost gives it away."""
+    mu, nu = line_pair((0, 4), (1, 5))
+    cost, supply, demand, _, _ = _integer_instance(mu, nu, 1)
+    assert (cost, supply, demand) == ([[1, 5], [3, 1]], [1, 1], [1, 1])
+    # basis (0, 1), (1, 0) and the zero-flow cell (0, 0); optimum is 2
+    crossing = (8, {(0, 1): 1, (1, 0): 1}, [0, 2], [1, 5])
+    fake_solver(monkeypatch, lambda solution, cost: crossing)
+    assert_every_solve_raises(mu, nu, "dual feasibility")
+
+
+@pytest.mark.parametrize("floats", [False, True], ids=["exact", "float"])
+def test_certificate_rejects_a_flow_off_by_one_unit(monkeypatch, floats):
+    """The changed flow sits on a zero-cost cell: both objectives and
+    every reduced cost stay as they were, only a margin is off.  In
+    floats the margins allow 1e-9, so 1e-6 fails and 1e-12 passes."""
+    mu, nu = line_pair((0, 4), (0, 5), floats)
+    unit = 1e-6 if floats else 1
+
+    def off_by(delta):
+        def edit(solution, cost):
+            total, flows, u, v = solution
+            assert flows[0, 0] and cost[0][0] == 0
+            return total, {**flows, (0, 0): flows[0, 0] + delta}, u, v
+
+        return edit
+
+    fake_solver(monkeypatch, off_by(unit))
+    match = "margins" if floats else "primal feasibility"
+    assert_every_solve_raises(mu, nu, match, exact=not floats)
+    if floats:
+        fake_solver(monkeypatch, off_by(1e-12))
+        assert wasserstein_pow(mu, nu, 1) == 0.5
+
+
+def test_certificate_rejects_duals_that_break_one_reduced_cost(monkeypatch):
+    """u_0 + 1 and u_1 - 1 leave sum u*a unchanged on equal supplies, so
+    the objectives still meet; only the plan cell (0, 0) prices at -1."""
+    mu, nu = line_pair((0, 4), (1, 5))
+
+    def edit(solution, cost):
+        total, flows, u, v = solution
+        assert set(flows) == {(0, 0), (1, 1)}
+        u = [u[0] + 1, u[1] - 1]
+        negative = [
+            (i, j) for i in range(2) for j in range(2) if cost[i][j] < u[i] + v[j]
+        ]
+        assert negative == [(0, 0)]
+        return total, flows, u, v
+
+    fake_solver(monkeypatch, edit)
+    assert_every_solve_raises(mu, nu, "dual feasibility")
+
+
+@pytest.mark.parametrize("wrong", ["total", "vertex"])
+def test_certificate_rejects_objectives_that_do_not_meet(monkeypatch, wrong):
+    """A total one above the flows' cost, or the crossing vertex (cost
+    8) with the optimal potentials (dual value 2): flows and potentials
+    are each feasible, and only the objectives tell."""
+    mu, nu = line_pair((0, 4), (1, 5))
+
+    def edit(solution, cost):
+        total, flows, u, v = solution
+        if wrong == "total":
+            return total + 1, flows, u, v
+        return 8, {(0, 1): 1, (1, 0): 1}, u, v
+
+    fake_solver(monkeypatch, edit)
+    assert_every_solve_raises(mu, nu, "strong duality")
+
+
+def test_wasserstein_pow_builds_no_plan(monkeypatch):
+    rng = random.Random(5)
+    exact_pair = (rand_measure(rng, 6), rand_measure(rng, 6))
+    dirac = DiscreteMeasure.dirac(Point2(F(1), F(-2)))
+    float_pair = (float_measure(rng, 5), float_measure(rng, 4))
+
+    def refuse(self, *args):
+        raise AssertionError("a TransportPlan was built")
+
+    monkeypatch.setattr(TransportPlan, "__init__", refuse)
+    for mu, nu in (exact_pair, (dirac, exact_pair[0]), float_pair, (float_pair[0], dirac)):
+        for p in (1, 2, 1.5):
+            wasserstein_pow(mu, nu, p)
+    with pytest.raises(AssertionError, match="TransportPlan"):
+        wasserstein(*exact_pair, 1)
 
 
 # ---------------------------------------------------------------------------
