@@ -4,6 +4,13 @@ Measures travel as JSON files; Dirac measures may be given inline with
 --dirac "x,y".  Data goes to stdout, diagnostics to stderr, and a fixed
 (command, arguments, seed) triple always produces byte-identical output.
 
+Each subcommand declares only the options it reads.  The six measure
+commands (dist, project, radon, interp, symmetric, perturb) take their
+measures, --dirac, --mode and --format; all but perturb, which is always
+exact, take --exact, and dist and symmetric take the exponent --p.
+verify and reproduce-paper take --seed, which the environment variable
+MAXWASS_SEED overrides, and --format.
+
 Exit codes: 0 success (all checks passed for verify), 1 verification
 failure, 2 unusable input (parse errors, unknown suites, p < 1), and
 3 violated mathematical preconditions (points outside the square in
@@ -16,9 +23,10 @@ import argparse
 import functools
 import io
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 from .geometry import DiagonalLine, Point2
@@ -31,7 +39,7 @@ from .scalars import (
     scalar_to_json,
     to_exact,
 )
-from .transport import TransportPlan, _solve
+from .transport import _MAX_COST_BITS, TransportPlan, _solve
 from .verify import SUITES, run_suite
 from .wgeom import (
     displacement_interpolation,
@@ -42,24 +50,20 @@ from .wgeom import (
     symmetric_wp,
 )
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Shared run options resolved from flags and the environment."""
-
-    mode: str = "plane"
-    p: object = 2
-    exact: bool = False
-    seed: int = 0
-    grid_resolution: int = 8
-    output_format: str = "table"
-
-    @property
-    def square(self) -> bool:
-        return self.mode == "square"
+#: a p below 10**_MAX_P_DIGITS takes no more bits than an exact cost may
+_MAX_P_DIGITS = int(_MAX_COST_BITS * math.log10(2))
 
 
 def _parse_p(text: str, exact: bool):
+    try:
+        decimal = Decimal(text)
+    except InvalidOperation:
+        decimal = Decimal(0)  # 'a/b' text, or text Fraction rejects too
+    # judged on the text, before Fraction builds 10**|exponent|
+    if decimal.is_finite() and abs(decimal.adjusted()) >= _MAX_P_DIGITS:
+        if decimal < 1:
+            raise ParseError("the exponent p must be at least 1")
+        raise ConstraintError(f"the exponent p has more than {_MAX_P_DIGITS} digits")
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -70,7 +74,12 @@ def _parse_p(text: str, exact: bool):
         return int(value)
     if exact:
         raise ParseError("exact arithmetic requires an integer exponent")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConstraintError(
+            "a fractional exponent p must lie within the float range"
+        ) from None
 
 
 def _resolve_seed(args) -> int:
@@ -81,22 +90,6 @@ def _resolve_seed(args) -> int:
         except ValueError:
             raise ParseError(f"MAXWASS_SEED must be an integer, got {env!r}")
     return args.seed
-
-
-def _config(args, default_format: str) -> RunConfig:
-    exact = bool(getattr(args, "exact", False))
-    fmt = getattr(args, "format", None) or default_format
-    resolution = getattr(args, "grid_resolution", 8)
-    if resolution < 1:
-        raise ParseError("--grid-resolution must be a positive integer")
-    return RunConfig(
-        mode=getattr(args, "mode", "plane"),
-        p=_parse_p(getattr(args, "p", "2"), exact),
-        exact=exact,
-        seed=_resolve_seed(args),
-        grid_resolution=resolution,
-        output_format=fmt,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -130,22 +123,21 @@ def _exactify(mu: DiscreteMeasure) -> DiscreteMeasure:
     )
 
 
-def _gather_measures(args, config: RunConfig, expected: int):
+def _gather_measures(args, expected: int, exact: bool):
     """Measure slots fill from --dirac occurrences first, then files."""
-    measures = []
-    for text in getattr(args, "dirac", None) or []:
-        point = _parse_point(text)
-        measures.append(DiscreteMeasure.dirac(point, square_mode=config.square))
-    for path in getattr(args, "measures", None) or []:
+    square = args.mode == "square"
+    measures = [
+        DiscreteMeasure.dirac(_parse_point(text), square_mode=square)
+        for text in args.dirac or []
+    ]
+    for path in args.measures:
         data = _load_json(path)
-        measures.append(
-            DiscreteMeasure.from_json_dict(data, square_mode=config.square)
-        )
+        measures.append(DiscreteMeasure.from_json_dict(data, square_mode=square))
     if len(measures) != expected:
         raise ParseError(
             f"expected {expected} measure(s) via files or --dirac, got {len(measures)}"
         )
-    if config.exact:
+    if exact:
         measures = [_exactify(mu) for mu in measures]
     return measures
 
@@ -159,51 +151,68 @@ def _emit_json(obj) -> None:
 
 def _measure_rows(mu: DiscreteMeasure):
     for x, w in mu.atoms:
-        yield scalar_to_json(x.x1), scalar_to_json(x.x2), scalar_to_json(w)
+        yield tuple(str(scalar_to_json(v)) for v in (x.x1, x.x2, w))
 
 
-def _emit_measure(mu: DiscreteMeasure, config: RunConfig) -> None:
-    if config.output_format == "json":
+def _emit_measure(mu: DiscreteMeasure, args) -> None:
+    """Print mu in args.format; in square mode, fail unless it lies in Q."""
+    if args.mode == "square":
+        mu = DiscreteMeasure(mu.atoms, square_mode=True)
+    if args.format == "json":
         _emit_json(mu.to_json_dict())
-    elif config.output_format == "csv":
+    elif args.format == "csv":
         print("x1,x2,weight")
         for row in _measure_rows(mu):
-            print(",".join(str(v) for v in row))
+            print(",".join(row))
     else:
         for x1, x2, w in _measure_rows(mu):
             print(f"atom ({x1}, {x2})  weight {w}")
+
+
+def _emit_labeled(column: str, labeled, fmt: str) -> None:
+    """Print (label, measure) pairs as CSV rows under a leading `column`,
+    or as one indented table block per label."""
+    if fmt == "csv":
+        print(f"{column},x1,x2,weight")
+        for label, mu in labeled:
+            for row in _measure_rows(mu):
+                print(",".join((label, *row)))
+    else:
+        for label, mu in labeled:
+            print(f"{label}:")
+            for x1, x2, w in _measure_rows(mu):
+                print(f"  atom ({x1}, {x2})  weight {w}")
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_dist(args) -> int:
-    config = _config(args, default_format="table")
-    mu, nu = _gather_measures(args, config, 2)
-    power, entries = _solve(mu, nu, config.p)
-    if args.plan or config.output_format == "csv":
+    p = _parse_p(args.p, args.exact)
+    mu, nu = _gather_measures(args, 2, args.exact)
+    power, entries = _solve(mu, nu, p)
+    if args.plan or args.format == "csv":
         plan = TransportPlan(mu, nu, entries)
         rows = io.StringIO()
-        _render_exact(lambda: plan.to_csv(rows, config.p))
+        _render_exact(lambda: plan.to_csv(rows, p))
         if args.plan:
             with open(args.plan, "w", encoding="utf-8", newline="") as handle:
                 handle.write(rows.getvalue())
-    if config.output_format == "json":
-        _emit_json(
-            {
-                "p": config.p if isinstance(config.p, int) else scalar_to_json(config.p),
-                "mode": config.mode,
-                "exact": config.exact,
-                "power": _render_exact(lambda: scalar_to_json(power)),
-                "distance": _float_distance(power, config.p),
-            }
-        )
-    elif config.output_format == "csv":
+    if args.format == "json":
+        report = {
+            "p": p if isinstance(p, int) else scalar_to_json(p),
+            "mode": args.mode,
+            "exact": args.exact,
+            "power": _render_exact(lambda: scalar_to_json(power)),
+            "distance": _float_distance(power, p),
+        }
+        _render_exact(lambda: _emit_json(report))  # a whole p may be that long too
+    elif args.format == "csv":
         sys.stdout.write(rows.getvalue())
-    elif config.exact:
+    elif args.exact:
         print(_render_exact(lambda: str(power)))
     else:
-        print(repr(_float_distance(power, config.p)))
+        print(repr(_float_distance(power, p)))
     return 0
 
 
@@ -232,71 +241,54 @@ def _float_distance(power, p) -> float:
 
 
 def cmd_project(args) -> int:
-    config = _config(args, default_format="json")
-    (mu,) = _gather_measures(args, config, 1)
+    (mu,) = _gather_measures(args, 1, args.exact)
     line = DiagonalLine.parse(args.line)
-    eta = project_measure(line, mu)
-    if config.square:
-        eta = DiscreteMeasure(eta.atoms, square_mode=True)
-    _emit_measure(eta, config)
+    _emit_measure(project_measure(line, mu), args)
     return 0
 
 
 def cmd_radon(args) -> int:
-    config = _config(args, default_format="json")
-    (mu,) = _gather_measures(args, config, 1)
+    (mu,) = _gather_measures(args, 1, args.exact)
     image = radon(mu)
-    if config.output_format == "json":
+    if args.format == "json":
         _emit_json(image.to_json_dict())
-    elif config.output_format == "csv":
-        print("component,x1,x2,weight")
-        for label, comp in (("plus", image.plus), ("minus", image.minus)):
-            for row in _measure_rows(comp):
-                print(",".join([label] + [str(v) for v in row]))
     else:
-        for label, comp in (("plus", image.plus), ("minus", image.minus)):
-            print(f"{label}:")
-            for x1, x2, w in _measure_rows(comp):
-                print(f"  atom ({x1}, {x2})  weight {w}")
+        _emit_labeled(
+            "component", (("plus", image.plus), ("minus", image.minus)), args.format
+        )
     return 0
 
 
 def cmd_interp(args) -> int:
-    config = _config(args, default_format="json")
-    (mu,) = _gather_measures(args, config, 1)
+    (mu,) = _gather_measures(args, 1, args.exact)
     corner = _parse_point(args.corner)
     s = _fraction_from_str(args.s)
-    eta = displacement_interpolation(mu, corner, s)
-    if config.square:
-        eta = DiscreteMeasure(eta.atoms, square_mode=True)
-    _emit_measure(eta, config)
+    _emit_measure(displacement_interpolation(mu, corner, s), args)
     return 0
 
 
 def cmd_symmetric(args) -> int:
-    config = _config(args, default_format="json")
+    p = _parse_p(args.p, args.exact)
     if (args.line is None) == (args.center is None):
         raise ParseError("pass exactly one of --line or --center")
     if args.line is not None:
-        if config.p != 1:
+        if p != 1:
             raise ParseError("the mirror construction along a line works at p = 1")
         line = DiagonalLine.parse(args.line)
-        mu, nu = _gather_measures(args, config, 2)
+        mu, nu = _gather_measures(args, 2, args.exact)
         eta = symmetric_w1(line, mu, nu)
     else:
         center = _parse_point(args.center)
-        (nu,) = _gather_measures(args, config, 1)
-        eta = symmetric_wp(center, nu, config.p, square_mode=config.square)
-    if config.square:
-        eta = DiscreteMeasure(eta.atoms, square_mode=True)
-    _emit_measure(eta, config)
+        (nu,) = _gather_measures(args, 1, args.exact)
+        eta = symmetric_wp(center, nu, p, square_mode=args.mode == "square")
+    _emit_measure(eta, args)
     return 0
 
 
 def cmd_perturb(args) -> int:
-    config = _config(args, default_format="json")
-    (mu,) = _gather_measures(args, config, 1)
-    mu = _exactify(mu)
+    if args.grid_resolution < 1:
+        raise ParseError("--grid-resolution must be a positive integer")
+    (mu,) = _gather_measures(args, 1, exact=True)
     a = _fraction_from_str(args.a)
     x_prime = _parse_point(args.x_prime) if args.x_prime else None
     if args.grid:
@@ -305,31 +297,24 @@ def cmd_perturb(args) -> int:
         w = mu.weights()
         xi = GridMeasure(mu, [[wi * wj for wj in w] for wi in w])
     triple = grid_perturbation(
-        mu, xi, a, x_prime, offset_denominator=config.grid_resolution
+        mu, xi, a, x_prime, offset_denominator=args.grid_resolution
     )
-    if config.output_format == "json":
+    if args.format == "json":
         _emit_json(triple.to_json_dict())
-    elif config.output_format == "csv":
-        print("measure,x1,x2,weight")
-        for label, m in (
-            ("mu_prime", triple.mu_prime),
-            ("nu1_prime", triple.nu1_prime),
-            ("nu2_prime", triple.nu2_prime),
-        ):
-            for row in _measure_rows(m):
-                print(",".join([label] + [str(v) for v in row]))
-    else:
+        return 0
+    if args.format == "table":
         print(f"moved mass a = {scalar_to_json(triple.a)}")
         print(f"offset c0 = {scalar_to_json(triple.c0)}")
         print(f"x_prime = ({scalar_to_json(triple.x_prime.x1)}, {scalar_to_json(triple.x_prime.x2)})")
-        for label, m in (
+    _emit_labeled(
+        "measure",
+        (
             ("mu_prime", triple.mu_prime),
             ("nu1_prime", triple.nu1_prime),
             ("nu2_prime", triple.nu2_prime),
-        ):
-            print(f"{label}:")
-            for x1, x2, w in _measure_rows(m):
-                print(f"  atom ({x1}, {x2})  weight {w}")
+        ),
+        args.format,
+    )
     return 0
 
 
@@ -358,15 +343,16 @@ def _aggregate_reports(reports):
     return order, agg
 
 
-def _run_verification(suite: str, config: RunConfig) -> int:
-    reports = run_suite(suite, config.seed)
+def cmd_verify(args) -> int:
+    seed = _resolve_seed(args)
+    reports = run_suite(args.suite, seed)
     order, agg = _aggregate_reports(reports)
     all_passed = all(agg[name]["failures"] == 0 for name in order)
-    if config.output_format == "json":
+    if args.format == "json":
         _emit_json(
             {
-                "suite": suite,
-                "seed": config.seed,
+                "suite": args.suite,
+                "seed": seed,
                 "passed": all_passed,
                 "statements": [dict(agg[name], name=name) for name in order],
             }
@@ -390,50 +376,20 @@ def _run_verification(suite: str, config: RunConfig) -> int:
     return 0 if all_passed else 1
 
 
-def cmd_verify(args) -> int:
-    config = _config(args, default_format="table")
-    return _run_verification(args.suite, config)
-
-
-def cmd_reproduce(args) -> int:
-    config = _config(args, default_format="table")
-    return _run_verification("all", config)
-
-
 # ---------------------------------------------------------------------------
 # parser assembly
 
-def _add_common(sub, p=True, mode=True, exact=True):
-    if p:
-        sub.add_argument("--p", default="2", help="transport exponent (default 2)")
-    if mode:
-        sub.add_argument(
-            "--mode",
-            choices=("plane", "square"),
-            default="plane",
-            help="geometry: the full plane or the square [-1,1]^2",
-        )
-    if exact:
-        sub.add_argument(
-            "--exact",
-            action="store_true",
-            help="exact rational arithmetic; distances print as p-th powers",
-        )
-    sub.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="randomness seed (env MAXWASS_SEED overrides)",
-    )
+def _add_format(sub, default: str) -> None:
     sub.add_argument(
         "--format",
         choices=("json", "csv", "table"),
-        default=None,
-        help="output format (default depends on the subcommand)",
+        default=default,
+        help=f"output format (default {default})",
     )
 
 
-def _add_measure_args(sub, count):
+def _add_measure_options(sub, count, default_format: str) -> None:
+    """The measures, --dirac, --mode and --format of a measure command."""
     sub.add_argument(
         "measures",
         nargs="*",
@@ -446,6 +402,24 @@ def _add_measure_args(sub, count):
         metavar="X,Y",
         help="inline Dirac measure at the given point (repeatable)",
     )
+    sub.add_argument(
+        "--mode",
+        choices=("plane", "square"),
+        default="plane",
+        help="geometry: the full plane or the square [-1,1]^2",
+    )
+    _add_format(sub, default_format)
+
+
+def _add_exact(sub) -> None:
+    sub.add_argument(
+        "--exact", action="store_true",
+        help="exact rational arithmetic; distances print as p-th powers",
+    )
+
+
+def _add_p(sub) -> None:
+    sub.add_argument("--p", default="2", help="transport exponent (default 2)")
 
 
 @functools.cache
@@ -458,14 +432,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_dist = sub.add_parser("dist", help="Wasserstein distance between two measures")
-    _add_measure_args(p_dist, 2)
-    _add_common(p_dist)
+    _add_measure_options(p_dist, 2, "table")
+    _add_exact(p_dist)
+    _add_p(p_dist)
     p_dist.add_argument("--plan", metavar="FILE", help="write the optimal plan CSV here")
     p_dist.set_defaults(func=cmd_dist)
 
     p_proj = sub.add_parser("project", help="push a measure onto a diagonal line")
-    _add_measure_args(p_proj, 1)
-    _add_common(p_proj)
+    _add_measure_options(p_proj, 1, "json")
+    _add_exact(p_proj)
     p_proj.add_argument(
         "--line", required=True, metavar="EPS,A",
         help="diagonal line, e.g. '+,0' for x2 = x1 or '-,1' for x2 = -x1 + 1",
@@ -473,15 +448,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_proj.set_defaults(func=cmd_project)
 
     p_radon = sub.add_parser("radon", help="both diagonal projections of a measure")
-    _add_measure_args(p_radon, 1)
-    _add_common(p_radon)
+    _add_measure_options(p_radon, 1, "json")
+    _add_exact(p_radon)
     p_radon.set_defaults(func=cmd_radon)
 
     p_interp = sub.add_parser(
         "interp", help="displacement interpolation toward a co-diagonal point"
     )
-    _add_measure_args(p_interp, 1)
-    _add_common(p_interp)
+    _add_measure_options(p_interp, 1, "json")
+    _add_exact(p_interp)
     p_interp.add_argument("--s", required=True, help="interpolation time in [0, 1]")
     p_interp.add_argument(
         "--corner", required=True, metavar="X,Y",
@@ -492,8 +467,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sym = sub.add_parser(
         "symmetric", help="mirror a measure across a line (p=1) or a point (p>1)"
     )
-    _add_measure_args(p_sym, "1 or 2")
-    _add_common(p_sym)
+    _add_measure_options(p_sym, "1 or 2", "json")
+    _add_exact(p_sym)
+    _add_p(p_sym)
     p_sym.add_argument(
         "--line", metavar="EPS,A",
         help="mirror line: takes the two measures (mu nu) and shifts nu off mu's line",
@@ -506,8 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pert = sub.add_parser(
         "perturb", help="equal-projection triple witnessing loss of general position"
     )
-    _add_measure_args(p_pert, 1)
-    _add_common(p_pert)
+    _add_measure_options(p_pert, 1, "json")
     p_pert.add_argument("--a", required=True, help="mass to relocate (exact rational)")
     p_pert.add_argument(
         "--x-prime", metavar="X,Y",
@@ -526,14 +501,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "suite", help="one of %s or 'all'" % ", ".join(sorted(SUITES))
     )
-    _add_common(p_verify, p=False, mode=False, exact=False)
-    p_verify.set_defaults(func=cmd_verify)
-
     p_repro = sub.add_parser(
         "reproduce-paper", help="run every verification suite, as verify all does"
     )
-    _add_common(p_repro, p=False, mode=False, exact=False)
-    p_repro.set_defaults(func=cmd_reproduce)
+    p_repro.set_defaults(suite="all")
+    for p_run in (p_verify, p_repro):
+        p_run.add_argument(
+            "--seed", type=int, default=0,
+            help="randomness seed (env MAXWASS_SEED overrides)",
+        )
+        _add_format(p_run, "table")
+        p_run.set_defaults(func=cmd_verify)
 
     return parser
 

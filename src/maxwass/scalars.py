@@ -110,7 +110,13 @@ def root_p(v: Scalar, p) -> Scalar:
     if p == 1:
         return v
     try:
-        return float(v) ** (1.0 / float(p))
+        inverse = 1.0 / float(p)
+    except OverflowError:
+        # 1/p < 1e-308, so any positive v this package can hold (|log v|
+        # far below 1e292) roots to 1.0; 0.0 ** 0.0 would be 1.0 as well
+        return 1.0 if v else 0.0
+    try:
+        return float(v) ** inverse
     except OverflowError:
         # an exact v beyond the float range whose root may still fit one
         v = Fraction(v)

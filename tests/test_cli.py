@@ -3,9 +3,11 @@
 import contextlib
 import csv
 import io
+import argparse
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -22,7 +24,8 @@ from maxwass.transport import brute_force_wasserstein
 
 PKG = [sys.executable, "-m", "maxwass"]
 DATA = Path(__file__).parent / "data"
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 
 def run_cli(*args, env_extra=None, timeout=None):
@@ -136,17 +139,44 @@ def test_dist_exact_power_beyond_float_range(fmt):
         ["--dirac", "0,0", "--dirac", "100,0", "--p", "3000", "--exact"],
         ["--dirac", "0,0", "--dirac", "100,0", "--p", "3000", "--format", "json"],
         ["--dirac", "0,0", "--dirac", "100,0", "--p", "3000", "--format", "csv"],
+        ["--dirac", "0,0", "--dirac", "2,0", "--p", "1e30000000"],
+        ["--dirac", "0,0", "--dirac", "2,0", "--p", "1" + "0" * 400 + ".5"],
     ],
-    ids=["p-1e400", "p-1e8", "3000-exact", "3000-json", "3000-csv"],
+    ids=["p-1e400", "p-1e8", "3000-exact", "3000-json", "3000-csv", "p-1e30000000",
+         "p-fractional-1e400"],
 )
 def test_dist_huge_exact_power_is_constraint_error(args):
-    """A cost dm^p too large to build, or an exact result too long to
-    print, is one error line and exit 3."""
+    """A cost dm^p too large to build, an exact result too long to
+    print, or an exponent too large to read is one error line and exit
+    3.  Exponent text like 1e30000000 is judged by its decimal exponent
+    before Fraction would spend a minute building 10**30000000."""
     out = run_cli("dist", *args, timeout=20)
     assert out.returncode == 3
     assert out.stdout == ""
     assert out.stderr.startswith("error: ")
     assert out.stderr.count("\n") == 1
+
+
+def test_dist_tiny_exponent_text_is_parse_error_at_once():
+    out = run_cli(
+        "dist", "--dirac", "0,0", "--dirac", "2,0", "--p", "1e-30000000", timeout=20
+    )
+    assert out.returncode == 2
+    assert out.stderr == "error: the exponent p must be at least 1\n"
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("x, distance", [("1", 1.0), ("0", 0.0)])
+def test_dist_exponent_beyond_float_range(fmt, x, distance, capsys):
+    """p = 10^400 does not fit a float, but W_p of two Diracs at
+    distance 1 (or 0) does."""
+    argv = ["dist", "--dirac", "0,0", "--dirac", f"{x},0", "--p", "1e400"]
+    assert cli.main(argv + ["--format", fmt]) == 0
+    out = capsys.readouterr().out
+    if fmt == "json":
+        assert json.loads(out)["distance"] == distance
+    else:
+        assert out == f"{distance!r}\n"
 
 
 def test_dist_huge_exact_power_prints_its_float_distance():
@@ -459,10 +489,33 @@ def test_symmetric_center_mirrors():
 
 
 def test_perturb_reports_triple(measures):
-    out = run_cli("perturb", measures["fam"], "--a", "1/48", "--exact")
+    out = run_cli("perturb", measures["fam"], "--a", "1/48")
     assert out.returncode == 0
     data = json.loads(out.stdout)
     assert set(data) >= {"a", "c0", "mu_prime", "nu1_prime", "nu2_prime", "x_prime"}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+def test_perturb_reads_float_json_as_exact(tmp_path, fmt, capsys):
+    """perturb is always exact: a measure given as JSON numbers prints
+    what its rational-string twin prints.  fam.json's points carry
+    weights 1/8, 3/8, 1/2 here, which JSON numbers hold exactly."""
+    points = [("0", "0"), ("1", "1/2"), ("1/2", "-1/4")]
+    weights = ["1/8", "3/8", "1/2"]
+    twins = {
+        "rational.json": [{"x": list(x), "w": w} for x, w in zip(points, weights)],
+        "float.json": [
+            {"x": [float(Fraction(c)) for c in x], "w": float(Fraction(w))}
+            for x, w in zip(points, weights)
+        ],
+    }
+    outputs = []
+    for name, atoms in twins.items():
+        path = tmp_path / name
+        path.write_text(json.dumps({"atoms": atoms}))
+        assert cli.main(["perturb", str(path), "--a", "1/100", "--format", fmt]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 def test_perturb_rejects_large_mass(measures):
@@ -532,3 +585,98 @@ def test_verify_seed_env_invalid():
 def test_no_command_is_usage_error():
     out = run_cli()
     assert out.returncode == 2
+
+MEASURE_OPTIONS = {"measures", "--dirac", "--mode", "--format"}
+
+OPTIONS = {
+    "dist": MEASURE_OPTIONS | {"--exact", "--p", "--plan"},
+    "project": MEASURE_OPTIONS | {"--exact", "--line"},
+    "radon": MEASURE_OPTIONS | {"--exact"},
+    "interp": MEASURE_OPTIONS | {"--exact", "--s", "--corner"},
+    "symmetric": MEASURE_OPTIONS | {"--exact", "--p", "--line", "--center"},
+    "perturb": MEASURE_OPTIONS | {"--a", "--x-prime", "--grid", "--grid-resolution"},
+    "verify": {"suite", "--seed", "--format"},
+    "reproduce-paper": {"--seed", "--format"},
+}
+
+
+def test_each_subcommand_declares_only_the_options_it_reads():
+    parser = cli.build_parser()
+    (commands,) = [
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    declared = {
+        name: {
+            option
+            for action in sub._actions
+            if not isinstance(action, argparse._HelpAction)
+            for option in action.option_strings or [action.dest]
+        }
+        for name, sub in commands.choices.items()
+    }
+    assert declared == OPTIONS
+    assert sum(map(len, declared.values())) == 46
+
+
+# a valid call of each measure command; parsing fails before any file is read
+MEASURE_CALLS = {
+    "dist": ["dist", "--dirac", "0,0", "--dirac", "1,1"],
+    "project": ["project", "--dirac", "1,0", "--line", "+,0"],
+    "radon": ["radon", "--dirac", "1,0"],
+    "interp": ["interp", "--dirac", "2,2", "--s", "1/2", "--corner", "0,0"],
+    "symmetric": ["symmetric", "--dirac", "1,0", "--center", "0,0"],
+    "perturb": ["perturb", "fam.json", "--a", "1/48"],
+}
+
+DELETED = (
+    [(command, ["--seed", "1"]) for command in MEASURE_CALLS]
+    + [(command, ["--p", "2"]) for command in ("project", "radon", "interp", "perturb")]
+    + [("perturb", ["--exact"])]
+)
+
+
+@pytest.mark.parametrize(
+    "command, flag", DELETED, ids=[f"{c}{f[0]}" for c, f in DELETED]
+)
+def test_deleted_option_is_unrecognized(command, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(MEASURE_CALLS[command] + flag)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(MEASURE_CALLS))
+def test_measure_commands_ignore_seed_env(command, measures, monkeypatch, capsys):
+    """Only verify and reproduce-paper read MAXWASS_SEED."""
+    argv = [measures["fam"] if a == "fam.json" else a for a in MEASURE_CALLS[command]]
+    assert cli.main(argv) == 0
+    plain = capsys.readouterr().out
+    monkeypatch.setenv("MAXWASS_SEED", "ten")
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == plain
+
+
+def readme_commands():
+    """The `maxwass ...` lines of README's Command line block, but for
+    `verify all` and `reproduce-paper`, which take about 15 s each and
+    run the suites test_acceptance.py checks."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [
+        line
+        for line in block.splitlines()
+        if line.startswith("maxwass ")
+        and line not in ("maxwass verify all --seed 0", "maxwass reproduce-paper")
+    ]
+
+
+@pytest.mark.parametrize("line", readme_commands())
+def test_readme_example_runs(line, tmp_path, monkeypatch, capsys):
+    # co-diagonal with (0,0) and in general position, as interp and perturb need
+    mu = [{"x": ["1", "1"], "w": "1/3"}, {"x": ["2", "-2"], "w": "2/3"}]
+    nu = [{"x": ["0", "0"], "w": "1/2"}, {"x": ["2", "0"], "w": "1/2"}]
+    for name, atoms in (("mu.json", mu), ("nu.json", nu)):
+        (tmp_path / name).write_text(json.dumps({"atoms": atoms}))
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(shlex.split(line)[1:]) == 0
+    assert capsys.readouterr().out
