@@ -39,7 +39,7 @@ from .scalars import (
     scalar_to_json,
     to_exact,
 )
-from .transport import _MAX_COST_BITS, TransportPlan, _solve
+from .transport import _MAX_COST_BITS, _solve
 from .verify import SUITES, run_suite
 from .wgeom import (
     displacement_interpolation,
@@ -190,11 +190,13 @@ def _emit_labeled(column: str, labeled, fmt: str) -> None:
 def cmd_dist(args) -> int:
     p = _parse_p(args.p, args.exact)
     mu, nu = _gather_measures(args, 2, args.exact)
-    power, entries = _solve(mu, nu, p)
+    solution = _solve(mu, nu, p)
+    power = solution.power
     if args.plan or args.format == "csv":
-        plan = TransportPlan(mu, nu, entries)
+        plan = solution.plan(mu, nu)
+        costs = [solution.cell_cost(i, j) for i, j, _ in plan.entries]
         rows = io.StringIO()
-        _render_exact(lambda: plan.to_csv(rows, p))
+        _render_exact(lambda: plan.to_csv(rows, costs))
         if args.plan:
             with open(args.plan, "w", encoding="utf-8", newline="") as handle:
                 handle.write(rows.getvalue())
@@ -379,10 +381,10 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # parser assembly
 
-def _add_format(sub, default: str) -> None:
+def _add_format(sub, default: str, choices=("json", "csv", "table")) -> None:
     sub.add_argument(
         "--format",
-        choices=("json", "csv", "table"),
+        choices=choices,
         default=default,
         help=f"output format (default {default})",
     )
@@ -510,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--seed", type=int, default=0,
             help="randomness seed (env MAXWASS_SEED overrides)",
         )
-        _add_format(p_run, "table")
+        _add_format(p_run, "table", choices=("json", "table"))
         p_run.set_defaults(func=cmd_verify)
 
     return parser

@@ -5,6 +5,13 @@ lexicographically by coordinates, duplicate points merged (exact
 equality in exact mode, tolerance 1e-12 in float mode), weights
 strictly positive and summing to one.  Canonical form makes equality of
 measures plain tuple equality.
+
+An exact measure also carries its `IntegerForm`, decided once when it
+is built: every coordinate and weight over the least common
+denominator of its kind.  The constructor sorts and merges exact atoms
+on those integer keys and checks their integer weights against that
+denominator, and `transport._integer_instance` builds every exact
+transport problem from two such forms by rescaling ints alone.
 """
 
 from __future__ import annotations
@@ -12,7 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable
+from operator import itemgetter
+from typing import Callable, Iterable, NamedTuple
 
 from .geometry import (
     L_MINUS,
@@ -60,23 +68,95 @@ def _merge_atoms(atoms: Iterable[Atom]) -> tuple[Atom, ...]:
     return tuple((x, w) for x, w in kept)
 
 
+class IntegerForm(NamedTuple):
+    """An exact measure at integer scale: atom k sits at
+    coords[k] / coord_scale and carries weights[k] / weight_scale.  Each
+    scale is the least common denominator of its values, so the weights
+    sum to weight_scale."""
+
+    coord_scale: int
+    coords: tuple[tuple[int, int], ...]
+    weight_scale: int
+    weights: tuple[int, ...]
+
+
+def _all_exact(atoms: Iterable[Atom]) -> bool:
+    return all(is_exact(w) and x.exact for x, w in atoms)
+
+
+def _merge_exact(atoms: Iterable[Atom]) -> tuple[tuple[Atom, ...], IntegerForm]:
+    """_merge_atoms for atoms whose coordinates and weights are all exact,
+    sorting and merging on integer keys, with the integer form of the
+    result.  Merged weights add as `_merge_atoms` adds them; every other
+    atom keeps its own point and weight objects."""
+    live = [(x, w) for x, w in atoms if w != 0]
+    coord_scale = math.lcm(*{c.denominator for x, _ in live for c in x})
+    weight_scale = math.lcm(*{w.denominator for _, w in live})
+    keyed = [
+        (
+            (
+                x1.numerator * (coord_scale // x1.denominator),
+                x2.numerator * (coord_scale // x2.denominator),
+            ),
+            x,
+            w,
+        )
+        for x, w in live
+        for x1, x2 in [x]
+    ]
+    # stable: atoms at one point keep their input order, as in _merge_atoms
+    keyed.sort(key=itemgetter(0))
+    kept, coords, weights = [], [], []
+    for key, x, w in keyed:
+        k = w.numerator * (weight_scale // w.denominator)
+        if k < 0:
+            raise ConstraintError(f"negative weight {w!r} at {tuple(x)!r}")
+        if coords and coords[-1] == key:
+            kept[-1] = (kept[-1][0], kept[-1][1] + w)
+            weights[-1] += k
+        else:
+            kept.append((x, w))
+            coords.append(key)
+            weights.append(k)
+    # merged weights may share a factor with the scale: 1/6 + 1/6 is 1/3
+    common = math.gcd(weight_scale, *weights)
+    if common > 1:
+        weight_scale //= common
+        weights = [k // common for k in weights]
+    form = IntegerForm(coord_scale, tuple(coords), weight_scale, tuple(weights))
+    return tuple(kept), form
+
+
 @dataclass(frozen=True)
 class DiscreteMeasure:
     atoms: tuple[Atom, ...]
-    #: every coordinate and weight is exact; set once, measures are frozen
-    exact: bool = field(init=False, compare=False, repr=False)
+    #: the integer form of an exact measure, None for any other; set
+    #: once, measures are frozen
+    integer: IntegerForm | None = field(init=False, compare=False, repr=False)
 
     def __init__(self, atoms: Iterable[Atom], square_mode: bool = False):
-        merged = _merge_atoms(atoms)
+        atoms = list(atoms)
+        form = None
+        if _all_exact(atoms):
+            merged, form = _merge_exact(atoms)
+        else:
+            merged = _merge_atoms(atoms)
+            if _all_exact(merged):
+                # float points merged into exact ones, or carried no mass
+                merged, form = _merge_exact(merged)
         if not merged:
             raise ConstraintError("a measure needs at least one atom of positive mass")
-        total = sum(w for _, w in merged)
-        exact_weights = all(is_exact(w) for _, w in merged)
-        if exact_weights:
-            if total != 1:
+        if form is not None:
+            if sum(form.weights) != form.weight_scale:
+                total = Fraction(sum(form.weights), form.weight_scale)
                 raise ConstraintError(f"weights sum to {total}, expected 1")
-        elif abs(float(total) - 1.0) > 1e-12:
-            raise ConstraintError(f"weights sum to {float(total)!r}, expected 1")
+        else:
+            total = sum(w for _, w in merged)
+            if all(is_exact(w) for _, w in merged):
+                if total != 1:
+                    raise ConstraintError(f"weights sum to {total}, expected 1")
+            elif abs(float(total) - 1.0) > 1e-12:
+                raise ConstraintError(f"weights sum to {float(total)!r}, expected 1")
         if square_mode:
             for x, _ in merged:
                 if not in_square(x):
@@ -84,8 +164,12 @@ class DiscreteMeasure:
                         f"atom ({x.x1}, {x.x2}) lies outside [-1,1]^2"
                     )
         object.__setattr__(self, "atoms", merged)
-        exact = exact_weights and all(x.exact for x, _ in merged)
-        object.__setattr__(self, "exact", exact)
+        object.__setattr__(self, "integer", form)
+
+    @property
+    def exact(self) -> bool:
+        """Every coordinate and weight is exact."""
+        return self.integer is not None
 
     @classmethod
     def dirac(cls, x: Point2, square_mode: bool = False) -> "DiscreteMeasure":

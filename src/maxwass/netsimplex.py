@@ -1,11 +1,13 @@
 """Dense transportation network simplex, generic over the scalar type.
 
-Exact problems reach it as Python ints, scaled from their rational data
-by `transport._integer_instance` (tol=0, every comparison exact); other
-problems run on floats, and the tolerance on the reduced-cost test is
-the only float-specific code here (`TransportPlan` prunes float dust
-from the flows).  Any exact ordered scalar, Fraction included, also
-works with tol=0.
+Exact problems reach it as Python ints, which
+`transport._integer_instance` rescales from the integer forms the
+measures carry since they were built (tol=0, every comparison exact);
+its flows stay ints until a caller that keeps the plan divides them by
+the weight scale.  Other problems run on floats, and the tolerance on
+the reduced-cost test is the only float-specific code here
+(`TransportPlan` prunes float dust from the flows).  Any exact ordered
+scalar, Fraction included, also works with tol=0.
 
 The basis is a spanning tree on the bipartite graph of rows 0..m-1 and
 columns m..m+n-1, its cells the keys of the flow dict, rooted at row 0

@@ -49,6 +49,14 @@ def to_exact(v) -> Fraction:
 
 
 def _fraction_from_str(s: str) -> Fraction:
+    # plain ASCII 'n' and 'n/d' skip Fraction's regular expression; any
+    # other text, a zero d and more digits than int() reads go the long way
+    num, slash, den = s.partition("/")
+    if s.isascii() and num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
+        try:
+            return Fraction(int(num), int(den or 1))
+        except (ValueError, ZeroDivisionError):
+            pass
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError):
@@ -84,7 +92,8 @@ def parse_scalar(v) -> Scalar:
 def scalar_to_json(v: Scalar):
     """Scalar -> JSON value.  Exact scalars serialize as strings."""
     if is_exact(v):
-        return str(Fraction(v))
+        # the text of Fraction(v), without copying a Fraction
+        return str(v) if type(v) is Fraction else str(Fraction(v))
     return float(v)
 
 

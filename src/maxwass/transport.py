@@ -11,8 +11,9 @@ Two independent routes compute it:
   the coupling polytope, and returns only that number.
 
 Exact problems reach both routes through `_integer_instance`, which
-scales coordinates and weights to integers; each route divides by the
-scales once at the end.  Only that input is shared, never the search,
+rescales the two measures' integer forms (`measure.IntegerForm`) to
+common coordinate and weight scales; each route divides by the scales
+once at the end.  Only that input is shared, never the search,
 so agreement between the two is a real check and is enforced wholesale
 by the acceptance suite.  Measures and plans fix their exactness when
 they are built, and every later decision reads that flag.
@@ -22,9 +23,11 @@ potentials u, v are checked in ints on the scaled instance against its
 flows x (x >= 0 with the exact margins, c - u_i - v_j >= 0 on every
 cell, and sum c*x == sum u*a + sum v*b), which proves the vertex optimal
 without trusting the pivot path.  A failed certificate raises
-RuntimeError.  A solve returns the power and the (i, j, weight) entries
-of its vertex; only `wasserstein` and the plan outputs of the CLI wrap
-them in a `TransportPlan`, so `wasserstein_pow` builds no plan.
+RuntimeError.  A solve returns the power and its vertex at the scale
+the simplex ran on: integer flows and costs with their scales on exact
+problems.  Only `wasserstein` and the plan outputs of the CLI divide
+them into a `TransportPlan`, so `wasserstein_pow` builds no plan and no
+Fraction per cell.
 
 Uniqueness of the optimal coupling (`is_unique_optimal_plan`) comes from
 the same certified solve: its potentials are an optimal dual, and a
@@ -39,6 +42,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .geometry import dm
 from .measure import DiscreteMeasure
@@ -71,9 +75,8 @@ def _is_exact_problem(mu: DiscreteMeasure, nu: DiscreteMeasure, p) -> bool:
     return mu.exact and nu.exact and is_integer_exponent(p)
 
 
-def _cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, p):
+def _cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, fp: float):
     xs, ys = mu.points(), nu.points()
-    fp = float(p)
     return [[float(dm(x, y)) ** fp for y in ys] for x in xs]
 
 
@@ -84,30 +87,34 @@ _MAX_COST_BITS = 1 << 16
 
 
 def _integer_instance(mu: DiscreteMeasure, nu: DiscreteMeasure, q: int):
-    """The exact problem at integer scale.
+    """The exact problem at integer scale, from the measures' integer forms.
 
-    Every coordinate of both measures is multiplied by L, the LCM of
-    their denominators, and every weight by W, the LCM of the weight
-    denominators.  dm is 1-homogeneous, so the costs dm^q scale by L^q.
+    Coordinates are rescaled to L = lcm(L_mu, L_nu) and weights to
+    W = lcm(W_mu, W_nu), the least scales that make both measures
+    whole.  dm is 1-homogeneous, so the costs dm^q scale by L^q.
     Returns (cost, supply, demand, cost_scale, weight_scale) with
-    cost_scale = L^q and weight_scale = W: a total cost divides by
-    W * L^q and a flow by W.  Positive scaling keeps the sign of every
-    comparison, so the optimal vertices are those of the rational
-    instance.  A ConstraintError is raised before any power is taken
-    when dm^q or L^q would exceed _MAX_COST_BITS bits.
+    cost_scale = L^q and weight_scale = W, all new lists: a total cost
+    divides by W * L^q and a flow by W.  Positive scaling keeps the sign
+    of every comparison, so the optimal vertices are those of the
+    rational instance.  A ConstraintError is raised before any power is
+    taken when dm^q or L^q would exceed _MAX_COST_BITS bits.
     """
-    xs, ys = mu.points(), nu.points()
-    # sets, not generators: star-unpacking a generator here held about
-    # 0.3 MB of argument tuples until the next full garbage collection
-    coord_scale = math.lcm(*{c.denominator for x in xs + ys for c in x})
-    weight_scale = math.lcm(*{w.denominator for w in mu.weights() + nu.weights()})
+    a, b = mu.integer, nu.integer
+    coord_scale = math.lcm(a.coord_scale, b.coord_scale)
+    weight_scale = math.lcm(a.weight_scale, b.weight_scale)
 
-    def scaled(values, scale):
-        return [v.numerator * (scale // v.denominator) for v in values]
+    def coords(form):
+        k = coord_scale // form.coord_scale
+        return form.coords if k == 1 else [(x1 * k, x2 * k) for x1, x2 in form.coords]
 
-    rows = [scaled(x, coord_scale) for x in xs]
-    cols = [scaled(y, coord_scale) for y in ys]
-    cost = [[max(abs(a1 - b1), abs(a2 - b2)) for b1, b2 in cols] for a1, a2 in rows]
+    def weights(form):
+        k = weight_scale // form.weight_scale
+        return [w * k for w in form.weights]
+
+    cols = coords(b)
+    cost = [
+        [max(abs(a1 - b1), abs(a2 - b2)) for b1, b2 in cols] for a1, a2 in coords(a)
+    ]
     # b.bit_length() - 1 bits per factor is a lower bound on the size of b^q
     if q * (max(coord_scale, max(map(max, cost))).bit_length() - 1) > _MAX_COST_BITS:
         raise ConstraintError(
@@ -115,9 +122,7 @@ def _integer_instance(mu: DiscreteMeasure, nu: DiscreteMeasure, q: int):
         )
     if q != 1:
         cost = [[d**q for d in row] for row in cost]
-    supply = scaled(mu.weights(), weight_scale)
-    demand = scaled(nu.weights(), weight_scale)
-    return cost, supply, demand, coord_scale**q, weight_scale
+    return cost, weights(a), weights(b), coord_scale**q, weight_scale
 
 
 @dataclass(frozen=True)
@@ -205,23 +210,22 @@ class TransportPlan:
             total += c * w
         return total
 
-    def to_csv(self, fileobj, p=2):
-        """Rows (i, j, x_i, y_j, weight, cost) with cost = dm(x_i, y_j)^p."""
-        costs = self._cell_costs(p)
+    def to_csv(self, fileobj, costs):
+        """Rows (i, j, x_i, y_j, weight, cost), costs[k] being the cost
+        dm(x_i, y_j)^p of entry k."""
         writer = csv.writer(fileobj)
         writer.writerow(["i", "j", "x_i", "y_j", "weight", "cost"])
-        xs, ys = self.source.points(), self.target.points()
-        for (i, j, w), c in zip(self.entries, costs):
-            writer.writerow(
-                [
-                    i,
-                    j,
-                    "[%s, %s]" % tuple(scalar_to_json(s) for s in xs[i]),
-                    "[%s, %s]" % tuple(scalar_to_json(s) for s in ys[j]),
-                    scalar_to_json(w),
-                    scalar_to_json(c),
-                ]
-            )
+
+        def text(x):
+            return "[%s, %s]" % (scalar_to_json(x.x1), scalar_to_json(x.x2))
+
+        # each atom's text once, not once per entry
+        xs = [text(x) for x in self.source.points()]
+        ys = [text(y) for y in self.target.points()]
+        writer.writerows(
+            [i, j, xs[i], ys[j], scalar_to_json(w), scalar_to_json(c)]
+            for (i, j, w), c in zip(self.entries, costs)
+        )
 
 
 def _product_entries(mu: DiscreteMeasure, nu: DiscreteMeasure) -> list:
@@ -286,41 +290,75 @@ def _certified_solve(mu: DiscreteMeasure, nu: DiscreteMeasure, q: int):
     return instance, solution
 
 
-def _solve(mu: DiscreteMeasure, nu: DiscreteMeasure, p):
-    """The one solve path: (optimal cost power, entries of one optimal plan).
+class _Solution(NamedTuple):
+    """One optimal vertex at the scale the simplex ran on.
+
+    An exact solve holds ints: a flow f carries mass f / weight_scale
+    and a cost c is dm^p = c / cost_scale.  A float solve holds the
+    weights and the costs themselves, and both scales are None.  The
+    power is the solver's own total, exact or float.
+    """
+
+    power: Scalar
+    flows: dict  # (i, j) -> positive flow of the vertex
+    cost: list  # the m x n cost matrix
+    weight_scale: int | None
+    cost_scale: int | None
+
+    def plan(self, mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportPlan:
+        """The vertex as a plan between mu and nu, the measures solved."""
+        scale = self.weight_scale
+        if scale is None:
+            entries = [(i, j, x) for (i, j), x in self.flows.items()]
+        else:
+            entries = [(i, j, Fraction(f, scale)) for (i, j), f in self.flows.items()]
+        return TransportPlan(mu, nu, entries)
+
+    def cell_cost(self, i: int, j: int) -> Scalar:
+        """dm(x_i, y_j)^p, read off the cost matrix."""
+        if self.cost_scale is None:
+            return self.cost[i][j]
+        return Fraction(self.cost[i][j], self.cost_scale)
+
+
+def _solve(mu: DiscreteMeasure, nu: DiscreteMeasure, p) -> _Solution:
+    """The one solve path: the optimal cost power and one optimal vertex.
 
     The power is exact when both measures are exact and p is a whole
-    number, a float otherwise; either way it is the solver's own total.
-    The entries are the (i, j, weight) cells of the vertex, for a
-    caller that keeps the plan to wrap in a `TransportPlan`.  Exact
-    problems, Diracs included, take `_certified_solve` and are divided
-    by the instance's scales once at the end; float flows must meet
-    every margin within the tolerance `TransportPlan` checks.
+    number, a float otherwise.  Exact problems, Diracs included, take
+    `_certified_solve` and divide only the total by the instance's
+    scales; the flows stay ints for a caller that keeps the plan.
+    Float problems where a side is one atom take the product plan, and
+    the others must meet every margin within the tolerance
+    `TransportPlan` checks.
     """
     _require_valid_p(p)
     if _is_exact_problem(mu, nu, p):
-        (*_, cost_scale, weight_scale), (total, flows, _, _) = _certified_solve(
+        (cost, _, _, cost_scale, weight_scale), (total, flows, _, _) = _certified_solve(
             mu, nu, int(p)
         )
         power = Fraction(total, weight_scale * cost_scale)
-        return power, [(i, j, Fraction(f, weight_scale)) for (i, j), f in flows.items()]
+        return _Solution(power, flows, cost, weight_scale, cost_scale)
 
     try:
-        if mu.support_size == 1 or nu.support_size == 1:
-            # the only coupling there is; its products w * 1.0 carry no
-            # rounding residue from the simplex's northwest corner
-            entries = _product_entries(mu, nu)
-            xs, ys, fp = mu.points(), nu.points(), float(p)
-            power = 0
-            for i, j, w in entries:
-                power += float(dm(xs[i], ys[j])) ** fp * w
-            return power, entries
-        cost = _cost_matrix(mu, nu, p)
+        fp = float(p)
+    except OverflowError:
+        raise ConstraintError("the exponent p exceeds the float range") from None
+    try:
+        cost = _cost_matrix(mu, nu, fp)
     except OverflowError:
         raise ConstraintError(
             "a transport cost exceeds the float range; "
             "--exact with a whole-number p computes it exactly"
         ) from None
+    if mu.support_size == 1 or nu.support_size == 1:
+        # the only coupling there is; its products w * 1.0 carry no
+        # rounding residue from the simplex's northwest corner
+        flows = {(i, j): w for i, j, w in _product_entries(mu, nu)}
+        power = 0
+        for (i, j), w in flows.items():
+            power += cost[i][j] * w
+        return _Solution(power, flows, cost, None, None)
     supply = [float(s) for s in mu.weights()]
     demand = [float(d) for d in nu.weights()]
     tol = 1e-11 * max(1.0, max(map(max, cost)))
@@ -328,7 +366,7 @@ def _solve(mu: DiscreteMeasure, nu: DiscreteMeasure, p):
     row, col = _margins(flows, len(supply), len(demand))
     if any(abs(g - t) > _FLOAT_MARGIN_TOL for g, t in zip(row + col, supply + demand)):
         raise RuntimeError("float solve returned flows off their margins")
-    return total, [(i, j, x) for (i, j), x in flows.items()]
+    return _Solution(total, flows, cost, None, None)
 
 
 def wasserstein(mu: DiscreteMeasure, nu: DiscreteMeasure, p=2):
@@ -338,14 +376,14 @@ def wasserstein(mu: DiscreteMeasure, nu: DiscreteMeasure, p=2):
     inputs; for p > 1 it is the float 1/p-th root of the exact power
     (use wasserstein_pow for the exact powered value).
     """
-    power, entries = _solve(mu, nu, p)
-    return root_p(power, p), TransportPlan(mu, nu, entries)
+    solution = _solve(mu, nu, p)
+    return root_p(solution.power, p), solution.plan(mu, nu)
 
 
 def wasserstein_pow(mu: DiscreteMeasure, nu: DiscreteMeasure, p=2) -> Scalar:
     """The p-th power of d_{W_p}, without building a plan; exact on exact
     inputs with integer p."""
-    return _solve(mu, nu, p)[0]
+    return _solve(mu, nu, p).power
 
 
 # ---------------------------------------------------------------------------

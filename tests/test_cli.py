@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxwass import cli
+from maxwass import cli, transport
 from maxwass.measure import DiscreteMeasure
 from maxwass.transport import brute_force_wasserstein
 
@@ -247,6 +247,19 @@ def test_dist_float_cost_beyond_float_range_is_constraint_error(big_float, fmt, 
     assert "--exact" in out.stderr
 
 
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+def test_dist_float_exponent_beyond_float_range(tmp_path, fmt, capsys):
+    """A float solve needs float(p): p = 10^400 is its own error, not a
+    cost overflow, though 0.5^p would underflow to 0."""
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"atoms": [{"x": [0.5, 0], "w": 1.0}]}))
+    argv = ["dist", str(path), "--dirac", "0,0", "--p", "1e400", "--format", fmt]
+    assert cli.main(argv) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: the exponent p exceeds the float range\n"
+
+
 def test_dist_float_cost_in_range_at_p1(big_float):
     out = run_cli("dist", *big_float, "--p", "1")
     assert out.returncode == 0
@@ -309,6 +322,26 @@ def test_dist_plan_csv(measures, tmp_path):
     assert len(lines) == 3
     assert lines[1].endswith("16")
     assert lines[2].endswith("4")
+
+
+def test_dist_exact_plan_reads_costs_off_the_solve(measures, tmp_path, monkeypatch):
+    """Each cost of an exact plan CSV is the solve's integer cost over
+    L^p; no distance is computed again."""
+
+    def refuse(x, y):
+        raise AssertionError("dm was called")
+
+    monkeypatch.setattr(transport, "dm", refuse)
+    plan_file = tmp_path / "plan.csv"
+    argv = ["dist", measures["fam"], measures["mu"], "--p", "3", "--exact"]
+    assert cli.main(argv + ["--plan", str(plan_file)]) == 0
+    with plan_file.open(newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert rows
+    for row in rows:
+        x, y = (row[key].strip("[]").split(", ") for key in ("x_i", "y_j"))
+        gap = max(abs(Fraction(a) - Fraction(b)) for a, b in zip(x, y))
+        assert Fraction(row["cost"]) == gap**3
 
 
 @st.composite
@@ -553,6 +586,14 @@ def test_verify_takes_no_exact_flag():
     out = run_cli("verify", "w2-table", "--exact")
     assert out.returncode == 2
     assert "unrecognized arguments: --exact" in out.stderr
+
+
+@pytest.mark.parametrize("command", [["verify", "w2-table"], ["reproduce-paper"]])
+def test_verify_has_no_csv_format(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(command + ["--format", "csv"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'csv' (choose from 'json', 'table')" in capsys.readouterr().err
 
 
 def test_verify_unknown_suite():

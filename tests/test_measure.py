@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxwass.geometry import DiagonalLine, L_MINUS, L_PLUS, Point2
 from maxwass.measure import (
@@ -19,7 +21,7 @@ from maxwass.measure import (
     phi_t,
     push_forward,
 )
-from maxwass.scalars import ConstraintError, ParseError
+from maxwass.scalars import ConstraintError, ParseError, parse_scalar
 
 F = Fraction
 
@@ -223,3 +225,34 @@ def test_exact_is_stored_and_left_out_of_equality():
     assert exact == DiscreteMeasure.dirac(Point2(F(1, 2), F(1, 4)))
     assert not DiscreteMeasure([(Point2(F(1, 2), 0.25), F(1))]).exact
     assert not DiscreteMeasure([(Point2(F(1, 2), F(1, 4)), 1.0)]).exact
+
+
+# ---------------------------------------------------------------------------
+# scalar strings
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    text=st.from_regex(r"-?[0-9]{1,40}(/[0-9]{1,40})?", fullmatch=True).filter(
+        lambda s: "/" not in s or s.split("/")[1].strip("0")
+    )
+)
+def test_plain_scalar_strings_parse_as_fraction_does(text):
+    value = parse_scalar(text)
+    assert type(value) is F and value == F(text)
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [("0.5", F(1, 2)), ("1e3", F(1000)), (" 1/2", F(1, 2)), ("+1/2", F(1, 2)),
+     ("1_000", F(1000)), ("-0", F(0)), ("007/014", F(1, 2))],
+)
+def test_other_scalar_strings_parse_as_before(text, value):
+    parsed = parse_scalar(text)
+    assert type(parsed) is F and parsed == value
+
+
+@pytest.mark.parametrize("text", ["3/0", "5/", "/5", "-", "--5", "1/-2", "0x10"])
+def test_malformed_scalar_strings_are_parse_errors(text):
+    with pytest.raises(ParseError, match=r"^cannot parse scalar string "):
+        parse_scalar(text)

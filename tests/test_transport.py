@@ -240,7 +240,7 @@ def test_plan_csv_layout():
     )
     _, plan = wasserstein(mu, nu, 2)
     out = io.StringIO()
-    plan.to_csv(out, 2)
+    plan.to_csv(out, plan._cell_costs(2))
     lines = out.getvalue().strip().splitlines()
     assert lines[0] == "i,j,x_i,y_j,weight,cost"
     assert len(lines) == 3
@@ -388,8 +388,8 @@ def test_integer_instance_takes_the_fraction_pivots(kind, q, square, data):
     """Scaling to ints keeps every comparison, so the exact solve returns
     the power and the vertex of the simplex run on Fractions."""
     mu, nu = data.draw(exact_pair(kind, square))
-    power, entries = transport._solve(mu, nu, q)
-    plan = TransportPlan(mu, nu, entries)
+    solution = transport._solve(mu, nu, q)
+    power, plan = solution.power, solution.plan(mu, nu)
     want_power, want_plan = fraction_simplex(mu, nu, q)
     assert type(power) is F
     assert power == want_power
@@ -427,8 +427,8 @@ def test_exact_dirac_solve_is_the_product_plan(p):
         dirac = DiscreteMeasure.dirac(Point2(rand_frac(rng), rand_frac(rng)))
         other = rand_measure(rng)
         for mu, nu in ((dirac, other), (other, dirac)):
-            power, entries = transport._solve(mu, nu, p)
-            plan = TransportPlan(mu, nu, entries)
+            solution = transport._solve(mu, nu, p)
+            power, plan = solution.power, solution.plan(mu, nu)
             want = product_plan(mu, nu)
             assert type(power) is F
             assert power == want.cost_pow(p)

@@ -66,27 +66,40 @@ def test_all_suite_names_registered():
     }
 
 
-@pytest.mark.parametrize(
-    "suite",
-    [
-        "w2-table",
-        "q-corners",
-        "q-saturation",
-        "q-sides",
-        "q-functional",
-        "unique-geodesic",
-        "diag-char",
-        "dirac-char",
-    ],
-)
-def test_fast_suites_pass(suite, capsys, monkeypatch):
-    """`maxwass verify SUITE --seed 0` passes and prints exactly the
-    report pinned under tests/data/verify/."""
+FAST_SUITES = [
+    "w2-table",
+    "q-corners",
+    "q-saturation",
+    "q-sides",
+    "q-functional",
+    "unique-geodesic",
+    "diag-char",
+    "dirac-char",
+]
+PINNED = Path(__file__).parent / "data" / "verify"
+
+
+def assert_prints_pinned_report(suite, seed, capsys, monkeypatch):
+    """`maxwass verify SUITE --seed N` passes and prints exactly the
+    report pinned under tests/data/verify/: SUITE.txt for seed 0,
+    SUITE.seedN.txt for the others."""
     monkeypatch.delenv("MAXWASS_SEED", raising=False)
-    code = cli.main(["verify", suite, "--seed", "0"])
+    code = cli.main(["verify", suite, "--seed", str(seed)])
     out = capsys.readouterr().out
     assert code == 0, out
-    assert out == (Path(__file__).parent / "data" / "verify" / f"{suite}.txt").read_text()
+    name = f"{suite}.txt" if seed == 0 else f"{suite}.seed{seed}.txt"
+    assert out == (PINNED / name).read_text()
+
+
+@pytest.mark.parametrize("suite", FAST_SUITES)
+def test_fast_suites_pass(suite, capsys, monkeypatch):
+    assert_prints_pinned_report(suite, 0, capsys, monkeypatch)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("suite", FAST_SUITES)
+def test_fast_suites_match_pinned_seeds(suite, seed, capsys, monkeypatch):
+    assert_prints_pinned_report(suite, seed, capsys, monkeypatch)
 
 
 def test_seeded_suites_are_deterministic():
