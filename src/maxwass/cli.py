@@ -145,8 +145,18 @@ def _gather_measures(args, expected: int, exact: bool):
 # ---------------------------------------------------------------------------
 # output helpers
 
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
 def _emit_json(obj) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
+    print(_json_text(obj))
+
+
+def _emit_lines(lines) -> None:
+    """Print the lines lines() yields, all at once: an exact number too
+    long to print fails the command before anything is printed."""
+    sys.stdout.write(_render_exact(lambda: "".join(f"{line}\n" for line in lines())))
 
 
 def _measure_rows(mu: DiscreteMeasure):
@@ -158,30 +168,34 @@ def _emit_measure(mu: DiscreteMeasure, args) -> None:
     """Print mu in args.format; in square mode, fail unless it lies in Q."""
     if args.mode == "square":
         mu = DiscreteMeasure(mu.atoms, square_mode=True)
-    if args.format == "json":
-        _emit_json(mu.to_json_dict())
-    elif args.format == "csv":
-        print("x1,x2,weight")
-        for row in _measure_rows(mu):
-            print(",".join(row))
-    else:
-        for x1, x2, w in _measure_rows(mu):
-            print(f"atom ({x1}, {x2})  weight {w}")
+
+    def lines():
+        if args.format == "json":
+            yield _json_text(mu.to_json_dict())
+        elif args.format == "csv":
+            yield "x1,x2,weight"
+            for row in _measure_rows(mu):
+                yield ",".join(row)
+        else:
+            for x1, x2, w in _measure_rows(mu):
+                yield f"atom ({x1}, {x2})  weight {w}"
+
+    _emit_lines(lines)
 
 
-def _emit_labeled(column: str, labeled, fmt: str) -> None:
-    """Print (label, measure) pairs as CSV rows under a leading `column`,
-    or as one indented table block per label."""
+def _labeled_lines(column: str, labeled, fmt: str):
+    """(label, measure) pairs as CSV rows under a leading `column`, or
+    as one indented table block per label."""
     if fmt == "csv":
-        print(f"{column},x1,x2,weight")
+        yield f"{column},x1,x2,weight"
         for label, mu in labeled:
             for row in _measure_rows(mu):
-                print(",".join((label, *row)))
+                yield ",".join((label, *row))
     else:
         for label, mu in labeled:
-            print(f"{label}:")
+            yield f"{label}:"
             for x1, x2, w in _measure_rows(mu):
-                print(f"  atom ({x1}, {x2})  weight {w}")
+                yield f"  atom ({x1}, {x2})  weight {w}"
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +210,7 @@ def cmd_dist(args) -> int:
         plan = solution.plan(mu, nu)
         costs = [solution.cell_cost(i, j) for i, j, _ in plan.entries]
         rows = io.StringIO()
-        _render_exact(lambda: plan.to_csv(rows, costs))
+        _render_exact(lambda: plan.to_csv(rows, costs), _FLOAT_DISTANCE_HINT)
         if args.plan:
             with open(args.plan, "w", encoding="utf-8", newline="") as handle:
                 handle.write(rows.getvalue())
@@ -205,28 +219,33 @@ def cmd_dist(args) -> int:
             "p": p if isinstance(p, int) else scalar_to_json(p),
             "mode": args.mode,
             "exact": args.exact,
-            "power": _render_exact(lambda: scalar_to_json(power)),
+            "power": _render_exact(lambda: scalar_to_json(power), _FLOAT_DISTANCE_HINT),
             "distance": _float_distance(power, p),
         }
-        _render_exact(lambda: _emit_json(report))  # a whole p may be that long too
+        # a whole p may be that long too
+        _render_exact(lambda: _emit_json(report), _FLOAT_DISTANCE_HINT)
     elif args.format == "csv":
         sys.stdout.write(rows.getvalue())
     elif args.exact:
-        print(_render_exact(lambda: str(power)))
+        print(_render_exact(lambda: str(power), _FLOAT_DISTANCE_HINT))
     else:
         print(repr(_float_distance(power, p)))
     return 0
 
 
-def _render_exact(render):
-    """render(), or a ConstraintError when an exact number in its text
-    has more digits than Python converts an int to text."""
+#: what a dist call can print instead of an exact power too long to print
+_FLOAT_DISTANCE_HINT = "; the table format without --exact prints the float distance"
+
+
+def _render_exact(render, hint=""):
+    """render(), or a ConstraintError, ending in `hint`, when an exact
+    number in its text has more digits than Python converts an int to
+    text."""
     try:
         return render()
     except ValueError:
         raise ConstraintError(
-            "an exact result has more digits than Python prints; "
-            "the table format without --exact prints the float distance"
+            "an exact result has more digits than Python prints" + hint
         ) from None
 
 
@@ -252,12 +271,15 @@ def cmd_project(args) -> int:
 def cmd_radon(args) -> int:
     (mu,) = _gather_measures(args, 1, args.exact)
     image = radon(mu)
-    if args.format == "json":
-        _emit_json(image.to_json_dict())
-    else:
-        _emit_labeled(
-            "component", (("plus", image.plus), ("minus", image.minus)), args.format
-        )
+
+    def lines():
+        if args.format == "json":
+            yield _json_text(image.to_json_dict())
+        else:
+            components = (("plus", image.plus), ("minus", image.minus))
+            yield from _labeled_lines("component", components, args.format)
+
+    _emit_lines(lines)
     return 0
 
 
@@ -301,22 +323,26 @@ def cmd_perturb(args) -> int:
     triple = grid_perturbation(
         mu, xi, a, x_prime, offset_denominator=args.grid_resolution
     )
-    if args.format == "json":
-        _emit_json(triple.to_json_dict())
-        return 0
-    if args.format == "table":
-        print(f"moved mass a = {scalar_to_json(triple.a)}")
-        print(f"offset c0 = {scalar_to_json(triple.c0)}")
-        print(f"x_prime = ({scalar_to_json(triple.x_prime.x1)}, {scalar_to_json(triple.x_prime.x2)})")
-    _emit_labeled(
-        "measure",
-        (
-            ("mu_prime", triple.mu_prime),
-            ("nu1_prime", triple.nu1_prime),
-            ("nu2_prime", triple.nu2_prime),
-        ),
-        args.format,
-    )
+
+    def lines():
+        if args.format == "json":
+            yield _json_text(triple.to_json_dict())
+            return
+        if args.format == "table":
+            yield f"moved mass a = {scalar_to_json(triple.a)}"
+            yield f"offset c0 = {scalar_to_json(triple.c0)}"
+            yield f"x_prime = ({scalar_to_json(triple.x_prime.x1)}, {scalar_to_json(triple.x_prime.x2)})"
+        yield from _labeled_lines(
+            "measure",
+            (
+                ("mu_prime", triple.mu_prime),
+                ("nu1_prime", triple.nu1_prime),
+                ("nu2_prime", triple.nu2_prime),
+            ),
+            args.format,
+        )
+
+    _emit_lines(lines)
     return 0
 
 

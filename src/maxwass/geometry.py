@@ -67,7 +67,17 @@ def in_square(x: Point2) -> bool:
 
 def require_in_square(x: Point2, what: str = "point"):
     if not in_square(x):
-        raise ConstraintError(f"{what} ({x.x1}, {x.x2}) lies outside [-1,1]^2")
+        raise outside_square(x, what)
+
+
+def outside_square(x: Point2, what: str) -> ConstraintError:
+    """The error for a point x outside [-1,1]^2, naming x unless a
+    coordinate has more digits than Python converts to text."""
+    try:
+        where = f"({x.x1}, {x.x2})"
+    except ValueError:
+        where = "with a coordinate of more digits than Python prints"
+    return ConstraintError(f"{what} {where} lies outside [-1,1]^2")
 
 
 @dataclass(frozen=True)

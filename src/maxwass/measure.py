@@ -28,6 +28,7 @@ from .geometry import (
     DiagonalLine,
     Point2,
     in_square,
+    outside_square,
     project_point,
 )
 from .scalars import (
@@ -160,9 +161,7 @@ class DiscreteMeasure:
         if square_mode:
             for x, _ in merged:
                 if not in_square(x):
-                    raise ConstraintError(
-                        f"atom ({x.x1}, {x.x2}) lies outside [-1,1]^2"
-                    )
+                    raise outside_square(x, "atom")
         object.__setattr__(self, "atoms", merged)
         object.__setattr__(self, "integer", form)
 

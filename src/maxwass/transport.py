@@ -76,8 +76,14 @@ def _is_exact_problem(mu: DiscreteMeasure, nu: DiscreteMeasure, p) -> bool:
 
 
 def _cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, fp: float):
-    xs, ys = mu.points(), nu.points()
-    return [[float(dm(x, y)) ** fp for y in ys] for x in xs]
+    """float(dm(x, y)) ** fp per cell, dm written out: the max is taken
+    in the coordinates' own types and rounded once, so points that mix
+    exact and float coordinates get the costs dm gives them."""
+    cols = nu.points()
+    return [
+        [float(max(abs(x1 - y1), abs(x2 - y2))) ** fp for y1, y2 in cols]
+        for x1, x2 in mu.points()
+    ]
 
 
 #: the most bits an exact cost dm^q or its scale L^q may take; far

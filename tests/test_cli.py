@@ -437,6 +437,31 @@ def test_square_mode_rejects_outside_points(measures):
     assert "Fraction" not in out.stderr
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["radon"],
+        ["project", "--line", "+,0"],
+        ["symmetric", "--center", "0,0"],
+        ["dist", "--dirac", "1/3,-1/2", "--mode", "square"],
+    ],
+    ids=["radon", "project", "symmetric", "dist-square"],
+)
+def test_coordinate_too_long_to_print_is_constraint_error(args, tmp_path, capsys):
+    """A coordinate of more digits than Python converts to text parses,
+    but printing it (or the square-mode error that names it) fails with
+    one error line, nothing on stdout and exit 3, in every format."""
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"atoms": [{"x": ["1" * 5000, "0"], "w": "1"}]}))
+    command, *options = args
+    for fmt in ("table", "csv", "json"):
+        assert cli.main([command, str(big), *options, "--format", fmt]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
+
 def test_project_closed_form():
     out = run_cli("project", "--dirac", "1,0", "--line", "+,1", "--exact",
                   "--format", "json")

@@ -679,3 +679,41 @@ def test_150x150_solves_exactly_and_in_floats():
     approx = wasserstein_pow(as_floats(mu), as_floats(nu), 2)
     assert type(exact) is F and type(approx) is float
     assert abs(approx - exact) <= 1e-9 * exact
+
+
+@st.composite
+def float_cost_measure(draw, kind):
+    """A measure the float solve takes: float points ("float"), points
+    with one Fraction and one float coordinate ("mixed"), or Fraction
+    points with float weights ("float-weight")."""
+    size = draw(st.integers(1, 5))
+    fraction = st.builds(F, st.integers(-24, 24), st.sampled_from((1, 3, 7, 8)))
+    real = st.floats(-3, 3, allow_nan=False)
+    if kind == "mixed":
+        pairs = st.one_of(st.tuples(fraction, real), st.tuples(real, fraction))
+    else:
+        coord = real if kind == "float" else fraction
+        pairs = st.tuples(coord, coord)
+    points = [Point2(*draw(pairs)) for _ in range(size)]
+    parts = draw(st.lists(st.integers(1, 12), min_size=size, max_size=size))
+    if kind == "mixed":
+        weights = [F(r, sum(parts)) for r in parts]
+    else:
+        weights = [r / sum(parts) for r in parts]
+    return DiscreteMeasure(list(zip(points, weights)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    kind=st.sampled_from(("float", "mixed", "float-weight")),
+    fp=st.sampled_from((1.0, 2.0, 3.0, 2.5)),
+)
+def test_float_cost_matrix_is_dm_to_the_p(data, kind, fp):
+    """The float cost matrix rounds each max-metric distance once, as
+    float(dm(x, y)) does, before taking its power."""
+    mu = data.draw(float_cost_measure(kind))
+    nu = data.draw(float_cost_measure(kind))
+    assert not (mu.exact and nu.exact)
+    expected = [[float(dm(x, y)) ** fp for y in nu.points()] for x in mu.points()]
+    assert transport._cost_matrix(mu, nu, fp) == expected
