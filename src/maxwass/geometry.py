@@ -22,6 +22,7 @@ from .scalars import (
     ConstraintError,
     ParseError,
     Scalar,
+    for_message,
     halve,
     is_exact,
     parse_scalar,
@@ -71,12 +72,8 @@ def require_in_square(x: Point2, what: str = "point"):
 
 
 def outside_square(x: Point2, what: str) -> ConstraintError:
-    """The error for a point x outside [-1,1]^2, naming x unless a
-    coordinate has more digits than Python converts to text."""
-    try:
-        where = f"({x.x1}, {x.x2})"
-    except ValueError:
-        where = "with a coordinate of more digits than Python prints"
+    """The error for a point x outside [-1,1]^2, naming x."""
+    where = f"({for_message(x.x1)}, {for_message(x.x2)})"
     return ConstraintError(f"{what} {where} lies outside [-1,1]^2")
 
 

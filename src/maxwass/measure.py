@@ -36,6 +36,7 @@ from .scalars import (
     MERGE_TOL,
     ParseError,
     Scalar,
+    for_message,
     halve,
     is_exact,
     parse_scalar,
@@ -49,7 +50,9 @@ def _merge_atoms(atoms: Iterable[Atom]) -> tuple[Atom, ...]:
     kept: list[list] = []
     for x, w in sorted(atoms, key=lambda a: (a[0].x1, a[0].x2)):
         if w < 0:
-            raise ConstraintError(f"negative weight {w!r} at {tuple(x)!r}")
+            raise ConstraintError(
+                f"negative weight {for_message(w, repr)} at {for_message(tuple(x), repr)}"
+            )
         if w == 0:
             continue
         if kept:
@@ -111,7 +114,9 @@ def _merge_exact(atoms: Iterable[Atom]) -> tuple[tuple[Atom, ...], IntegerForm]:
     for key, x, w in keyed:
         k = w.numerator * (weight_scale // w.denominator)
         if k < 0:
-            raise ConstraintError(f"negative weight {w!r} at {tuple(x)!r}")
+            raise ConstraintError(
+                f"negative weight {for_message(w, repr)} at {for_message(tuple(x), repr)}"
+            )
         if coords and coords[-1] == key:
             kept[-1] = (kept[-1][0], kept[-1][1] + w)
             weights[-1] += k
@@ -150,12 +155,12 @@ class DiscreteMeasure:
         if form is not None:
             if sum(form.weights) != form.weight_scale:
                 total = Fraction(sum(form.weights), form.weight_scale)
-                raise ConstraintError(f"weights sum to {total}, expected 1")
+                raise ConstraintError(f"weights sum to {for_message(total)}, expected 1")
         else:
             total = sum(w for _, w in merged)
             if all(is_exact(w) for _, w in merged):
                 if total != 1:
-                    raise ConstraintError(f"weights sum to {total}, expected 1")
+                    raise ConstraintError(f"weights sum to {for_message(total)}, expected 1")
             elif abs(float(total) - 1.0) > 1e-12:
                 raise ConstraintError(f"weights sum to {float(total)!r}, expected 1")
         if square_mode:
@@ -374,11 +379,15 @@ class GridMeasure:
             if any(w < 0 for w in row):
                 raise ConstraintError("grid weights must be nonnegative")
             if sum(row) != target[i]:
-                raise ConstraintError(f"row {i} sums to {sum(row)}, expected {target[i]}")
+                raise ConstraintError(
+                    f"row {i} sums to {for_message(sum(row))}, expected {target[i]}"
+                )
         for j in range(n):
             col = sum(rows[i][j] for i in range(n))
             if col != target[j]:
-                raise ConstraintError(f"column {j} sums to {col}, expected {target[j]}")
+                raise ConstraintError(
+                    f"column {j} sums to {for_message(col)}, expected {target[j]}"
+                )
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "weights", rows)
 

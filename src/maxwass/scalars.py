@@ -27,6 +27,15 @@ class ParseError(ValueError):
     """Malformed input data or configuration (CLI exit code 2)."""
 
 
+def for_message(v, form=str) -> str:
+    """form(v), the text of v in an error message, or a fixed phrase when
+    v holds an int of more digits than Python converts to text."""
+    try:
+        return form(v)
+    except ValueError:
+        return "a number of more digits than Python prints"
+
+
 def is_exact(v: Scalar) -> bool:
     return isinstance(v, (int, Fraction)) and not isinstance(v, bool)
 

@@ -18,21 +18,22 @@ so agreement between the two is a real check and is enforced wholesale
 by the acceptance suite.  Measures and plans fix their exactness when
 they are built, and every later decision reads that flag.
 
-Every exact solve goes through `_certified_solve`: the simplex's final
-potentials u, v are checked in ints on the scaled instance against its
-flows x (x >= 0 with the exact margins, c - u_i - v_j >= 0 on every
-cell, and sum c*x == sum u*a + sum v*b), which proves the vertex optimal
-without trusting the pivot path.  A failed certificate raises
-RuntimeError.  A solve returns the power and its vertex at the scale
-the simplex ran on: integer flows and costs with their scales on exact
-problems.  Only `wasserstein` and the plan outputs of the CLI divide
-them into a `TransportPlan`, so `wasserstein_pow` builds no plan and no
-Fraction per cell.
+Every exact solve goes through `_certified_solve`, which takes an
+integer instance (cost, supply, demand): the simplex's final potentials
+u, v are checked in ints against its flows x (x >= 0 with the exact
+margins, c - u_i - v_j >= 0 on every cell, and sum c*x == sum u*a +
+sum v*b), which proves the vertex optimal without trusting the pivot
+path.  A failed certificate raises RuntimeError.  A solve returns the
+power and its vertex at the scale the simplex ran on: integer flows and
+costs with their scales on exact problems.  Only `wasserstein` and the
+plan outputs of the CLI divide them into a `TransportPlan`, so
+`wasserstein_pow` builds no plan and no Fraction per cell.
 
-Uniqueness of the optimal coupling (`is_unique_optimal_plan`) comes from
-the same certified solve: its potentials are an optimal dual, and a
-search over the cells they make tight decides whether a second optimal
-coupling exists, in near-linear time in the number of cells.
+Uniqueness of the optimal coupling (`is_unique_optimal_plan`) takes two
+certified solves: the problem itself, then a probe on the same margins
+whose costs come from the first solve's reduced costs and plan, and
+whose minimum is 0 iff that plan is the only optimal coupling.  It
+costs about twice a solve.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .geometry import dm
 from .measure import DiscreteMeasure
 from .netsimplex import solve_transportation
 from .scalars import (
@@ -198,24 +198,6 @@ class TransportPlan:
                         f"{side} marginal mismatch at atom {k}: {g} != {t}"
                     )
 
-    def _cell_costs(self, p) -> list:
-        """dm(x_i, y_j)^p per entry: exact on an exact plan with whole p."""
-        _require_valid_p(p)
-        xs, ys = self.source.points(), self.target.points()
-        if self.exact and is_integer_exponent(p):
-            q = int(p)
-            return [dm(xs[i], ys[j]) ** q for i, j, _ in self.entries]
-        fp = float(p)
-        return [float(dm(xs[i], ys[j])) ** fp for i, j, _ in self.entries]
-
-    def cost_pow(self, p) -> Scalar:
-        """Transport cost sum dm(x_i, y_j)^p * w, without the 1/p root."""
-        total = 0
-        # left to right: sum() compensates float sums from Python 3.12 on
-        for (_, _, w), c in zip(self.entries, self._cell_costs(p)):
-            total += c * w
-        return total
-
     def to_csv(self, fileobj, costs):
         """Rows (i, j, x_i, y_j, weight, cost), costs[k] being the cost
         dm(x_i, y_j)^p of entry k."""
@@ -232,19 +214,6 @@ class TransportPlan:
             [i, j, xs[i], ys[j], scalar_to_json(w), scalar_to_json(c)]
             for (i, j, w), c in zip(self.entries, costs)
         )
-
-
-def _product_entries(mu: DiscreteMeasure, nu: DiscreteMeasure) -> list:
-    return [
-        (i, j, wi * wj)
-        for i, (_, wi) in enumerate(mu.atoms)
-        for j, (_, wj) in enumerate(nu.atoms)
-    ]
-
-
-def product_plan(mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportPlan:
-    """The independent coupling; optimal whenever one side is a Dirac."""
-    return TransportPlan(mu, nu, _product_entries(mu, nu))
 
 
 def _margins(flows, m: int, n: int):
@@ -279,21 +248,19 @@ def _certificate_failure(cost, supply, demand, solution):
     return None
 
 
-def _certified_solve(mu: DiscreteMeasure, nu: DiscreteMeasure, q: int):
-    """The one exact solve: the integer instance, its simplex solution
+def _certified_solve(cost, supply, demand):
+    """The one exact solve: the simplex solution of an integer instance
     and that solution's optimality certificate.
 
-    Returns (instance, solution), the tuples of `_integer_instance` and
-    `solve_transportation`.  A failed certificate is a solver bug and
-    raises RuntimeError, like the pivot cap; no answer is returned.
+    Returns the (total, flows, u, v) of `solve_transportation`.  A failed
+    certificate is a solver bug and raises RuntimeError, like the pivot
+    cap; no answer is returned.
     """
-    instance = _integer_instance(mu, nu, q)
-    cost, supply, demand, _, _ = instance
     solution = solve_transportation(cost, supply, demand, 0)
     failed = _certificate_failure(cost, supply, demand, solution)
     if failed is not None:
         raise RuntimeError(f"exact solve failed its optimality certificate: {failed}")
-    return instance, solution
+    return solution
 
 
 class _Solution(NamedTuple):
@@ -340,9 +307,8 @@ def _solve(mu: DiscreteMeasure, nu: DiscreteMeasure, p) -> _Solution:
     """
     _require_valid_p(p)
     if _is_exact_problem(mu, nu, p):
-        (cost, _, _, cost_scale, weight_scale), (total, flows, _, _) = _certified_solve(
-            mu, nu, int(p)
-        )
+        cost, supply, demand, cost_scale, weight_scale = _integer_instance(mu, nu, int(p))
+        total, flows, _, _ = _certified_solve(cost, supply, demand)
         power = Fraction(total, weight_scale * cost_scale)
         return _Solution(power, flows, cost, weight_scale, cost_scale)
 
@@ -360,7 +326,11 @@ def _solve(mu: DiscreteMeasure, nu: DiscreteMeasure, p) -> _Solution:
     if mu.support_size == 1 or nu.support_size == 1:
         # the only coupling there is; its products w * 1.0 carry no
         # rounding residue from the simplex's northwest corner
-        flows = {(i, j): w for i, j, w in _product_entries(mu, nu)}
+        flows = {
+            (i, j): wi * wj
+            for i, (_, wi) in enumerate(mu.atoms)
+            for j, (_, wj) in enumerate(nu.atoms)
+        }
         power = 0
         for (i, j), w in flows.items():
             power += cost[i][j] * w
@@ -464,52 +434,35 @@ def brute_force_wasserstein(mu: DiscreteMeasure, nu: DiscreteMeasure, p=2):
 
 
 def is_unique_optimal_plan(mu: DiscreteMeasure, nu: DiscreteMeasure, p=2) -> bool:
-    """True iff the optimal coupling is unique, read off one exact solve.
+    """True iff the optimal coupling is unique, read off two certified solves.
 
-    The solver's potentials u, v are an optimal dual, so the optimal
-    couplings are the couplings carried by the tight cells, where
-    cost = u_i + v_j.  Another one exists iff mass can move around a
-    cycle that adds to tight cells and takes from cells of the plan:
-    in the digraph with row i -> column j on every tight cell and
-    column j -> row i on every cell of the plan, some tight cell outside
-    the plan joins a row reachable from its own column.  The plan's
-    cells go both ways, so each of its trees is strongly connected:
-    contract the trees and the optimum is unique iff the tight cells
-    outside the plan leave the contracted graph acyclic.
+    The first solve gives an optimal vertex x with support S and
+    certified potentials u, v: every reduced cost r_ij = c_ij - u_i - v_j
+    is a nonnegative int, zero on S, and the optimal couplings are those
+    carried by the tight cells, where r_ij = 0.  With M the total integer
+    mass and k = M + 1, the second solve, on the same margins, charges
+    k * r_ij per unit on every cell and one less on each tight cell
+    outside S.  Its vertices are integral, so one that uses a cell that
+    is not tight costs at least k - M = 1 > 0, and one that uses only
+    tight cells is an optimal coupling and costs minus its mass outside
+    S.  x costs 0, so the certified minimum is at most 0, and it is
+    negative iff an optimal vertex uses a tight cell outside S.  Such a
+    vertex differs from x.  Conversely, a second optimal coupling puts a
+    second vertex on the optimal face, and that vertex leaves S: x is a
+    vertex, so S is a forest, on which the margins fix the flows.  So
+    the minimum is 0 iff x is the only optimal coupling.
     """
     if not is_integer_exponent(p):
         raise ConstraintError("uniqueness detection needs an integer exponent")
     _require_valid_p(p)
     if not _is_exact_problem(mu, nu, p):
         raise ConstraintError("uniqueness detection needs exact measures")
-    (cost, supply, demand, _, _), (_, flows, u, v) = _certified_solve(mu, nu, int(p))
-    m = len(supply)
-    tree = list(range(m + len(demand)))  # node k < m is row k, m + j column j
-
-    def find(k):
-        while tree[k] != k:
-            tree[k] = tree[tree[k]]
-            k = tree[k]
-        return k
-
-    for i, j in flows:
-        tree[find(i)] = find(m + j)
-    comp = [find(k) for k in range(len(tree))]
-    roots = set(comp)
-    # Kahn's algorithm on the contracted graph; a self-loop never clears
-    succ = [[] for _ in comp]
-    indegree = [0] * len(comp)
-    for i, row in enumerate(cost):
-        for j, c in enumerate(row):
-            if c == u[i] + v[j] and (i, j) not in flows:
-                succ[comp[i]].append(comp[m + j])
-                indegree[comp[m + j]] += 1
-    ready = [k for k in roots if indegree[k] == 0]
-    cleared = 0
-    while ready:
-        cleared += 1
-        for b in succ[ready.pop()]:
-            indegree[b] -= 1
-            if indegree[b] == 0:
-                ready.append(b)
-    return cleared == len(roots)
+    cost, supply, demand, _, _ = _integer_instance(mu, nu, int(p))
+    _, flows, u, v = _certified_solve(cost, supply, demand)
+    k = sum(supply) + 1
+    probe = []
+    for i, (row, ui) in enumerate(zip(cost, u)):
+        reduced = [c - ui - vj for c, vj in zip(row, v)]
+        probe.append([k * r - (r == 0 and (i, j) not in flows) for j, r in enumerate(reduced)])
+    total, _, _, _ = _certified_solve(probe, supply, demand)
+    return total == 0

@@ -28,7 +28,7 @@ from .geometry import (
     same_diagonal,
 )
 from .measure import DiscreteMeasure, GridMeasure, in_family_F, push_forward
-from .scalars import ConstraintError, Scalar, is_exact, scalar_to_json
+from .scalars import ConstraintError, Scalar, for_message, is_exact, scalar_to_json
 from .transport import wasserstein_pow
 
 
@@ -124,7 +124,9 @@ def displacement_interpolation(
     geodesic: x -> (1-s)*corner + s*x.
     """
     if not (0 <= s <= 1):
-        raise ConstraintError(f"interpolation parameter must be in [0, 1], got {s!r}")
+        raise ConstraintError(
+            f"interpolation parameter must be in [0, 1], got {for_message(s, repr)}"
+        )
     if not all(same_diagonal(corner, x) for x in mu.points()):
         raise ConstraintError(
             "every atom must share a diagonal line with the corner"
@@ -232,7 +234,7 @@ def grid_perturbation(
     if not (0 < c0 and 2 * c0 < c):
         raise ConstraintError(
             f"x_prime must sit at distance 0 < c0 < c/2 from the doubled row "
-            f"(c0 = {c0}, c = {c})"
+            f"(c0 = {for_message(c0)}, c = {for_message(c)})"
         )
 
     # new grid row 0: points pairing x_prime's plus-class with existing

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxwass import cli, transport
+from maxwass import cli, geometry, transport
 from maxwass.measure import DiscreteMeasure
 from maxwass.transport import brute_force_wasserstein
 
@@ -331,7 +331,9 @@ def test_dist_exact_plan_reads_costs_off_the_solve(measures, tmp_path, monkeypat
     def refuse(x, y):
         raise AssertionError("dm was called")
 
-    monkeypatch.setattr(transport, "dm", refuse)
+    # transport and cli bind no dm; measure imports it from geometry per call
+    assert not hasattr(transport, "dm") and not hasattr(cli, "dm")
+    monkeypatch.setattr(geometry, "dm", refuse)
     plan_file = tmp_path / "plan.csv"
     argv = ["dist", measures["fam"], measures["mu"], "--p", "3", "--exact"]
     assert cli.main(argv + ["--plan", str(plan_file)]) == 0
@@ -460,6 +462,47 @@ def test_coordinate_too_long_to_print_is_constraint_error(args, tmp_path, capsys
         assert out == ""
         assert err.startswith("error: ")
         assert err.count("\n") == 1
+
+
+_LONG = "1" + "0" * 3000  # a denominator of 3002 digits, a sum of 6003
+_TOO_LONG_TO_PRINT = {
+    "m": [(["0", "0"], f"1/{_LONG}3"), (["1", "1"], f"1/{_LONG}7")],
+    "m-numbers": [([0.5, 0], f"1/{_LONG}3"), ([1.5, 1], f"1/{_LONG}7")],
+    "n": [(["0", "0"], "-1e5000"), (["1", "1"], "1")],
+    "d": [(["1", "1"], "1")],
+    "g": [(["0", "0"], "1/3"), (["1", "3"], "2/3")],
+}
+
+
+@pytest.mark.parametrize(
+    "measure, args, message",
+    [
+        ("m", ["dist", "--dirac", "0,0"], "weights sum to"),
+        ("m-numbers", ["dist", "--dirac", "0,0"], "weights sum to"),
+        ("n", ["dist", "--dirac", "0,0"], "negative weight"),
+        ("n", ["radon"], "negative weight"),
+        ("d", ["interp", "--s", "1e5000", "--corner", "0,0"], "interpolation parameter"),
+        ("g", ["perturb", "--a", "1/100", "--x-prime", "1e5000,1e5000"], "x_prime"),
+    ],
+    ids=["dist-sum", "dist-sum-numbers", "dist-negative", "radon-negative", "interp",
+         "perturb"],
+)
+def test_number_too_long_for_a_message_is_constraint_error(
+    measure, args, message, tmp_path, capsys
+):
+    """An error message whose number has more digits than Python converts
+    to text names it with a fixed phrase: one error line, nothing on
+    stdout and exit 3."""
+    path = tmp_path / "m.json"
+    atoms = [{"x": x, "w": w} for x, w in _TOO_LONG_TO_PRINT[measure]]
+    path.write_text(json.dumps({"atoms": atoms}))
+    command, *options = args
+    assert cli.main([command, str(path), *options]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {message}")
+    assert "more digits than Python prints" in err
+    assert err.count("\n") == 1
 
 
 def test_project_closed_form():

@@ -12,19 +12,47 @@ from maxwass import transport
 from maxwass.geometry import Point2, dm
 from maxwass.measure import DiscreteMeasure
 from maxwass.netsimplex import solve_transportation
-from maxwass.scalars import ConstraintError
+from maxwass.scalars import ConstraintError, is_integer_exponent
 from maxwass.transport import (
     TransportPlan,
     _integer_instance,
     _minimum_vertex_cost,
     brute_force_wasserstein,
     is_unique_optimal_plan,
-    product_plan,
     wasserstein,
     wasserstein_pow,
 )
 
 F = Fraction
+
+
+def product_plan(mu, nu):
+    """The independent coupling; optimal whenever one side is a Dirac."""
+    return TransportPlan(
+        mu,
+        nu,
+        [
+            (i, j, wi * wj)
+            for i, (_, wi) in enumerate(mu.atoms)
+            for j, (_, wj) in enumerate(nu.atoms)
+        ],
+    )
+
+
+def cell_costs(plan, p):
+    """dm(x_i, y_j)^p per entry of plan: exact on an exact plan with whole p."""
+    xs, ys = plan.source.points(), plan.target.points()
+    if plan.exact and is_integer_exponent(p):
+        return [dm(xs[i], ys[j]) ** int(p) for i, j, _ in plan.entries]
+    return [float(dm(xs[i], ys[j])) ** float(p) for i, j, _ in plan.entries]
+
+
+def cost_pow(plan, p):
+    """The transport cost sum dm(x_i, y_j)^p * w of plan, without the 1/p root."""
+    total = 0
+    for (_, _, w), c in zip(plan.entries, cell_costs(plan, p)):
+        total += c * w
+    return total
 
 
 def rand_frac(rng, lo=-3, hi=3, denom=8):
@@ -157,6 +185,23 @@ def test_uniqueness_agrees_with_the_vertex_enumeration(pair, p):
     assert is_unique_optimal_plan(mu, nu, p) == (len(vertices) == 1)
 
 
+def test_uniqueness_probe_outweighs_the_mass_off_tight_cells():
+    """The plan (0, 0), (1, 2), (2, 1) is the only optimum, at cost 8.
+    The vertex (0, 1), (1, 0), (2, 2) costs 9: reduced cost 1 on (0, 1),
+    and two units on tight cells outside the plan.  A probe that charged
+    reduced costs at k = 1 would price it at 1 - 2 < 0; at k = 4, one
+    more than the total mass 3, it costs 4 - 2 > 0."""
+    mu, nu = (
+        DiscreteMeasure([(Point2(F(a), F(b)), F(1, 3)) for a, b in points])
+        for points in (((0, 2), (1, 2), (1, 3)), ((1, 0), (1, 3), (3, 1)))
+    )
+    cost, supply, demand, _, _ = _integer_instance(mu, nu, 2)
+    assert cost == [[4, 1, 9], [4, 1, 4], [9, 0, 4]] and supply == demand == [1, 1, 1]
+    best, vertices = enumerate_optimal_vertices(cost, supply, demand)
+    assert (best, vertices) == (8, {frozenset({(0, 0, 1), (1, 2, 1), (2, 1, 1)})})
+    assert is_unique_optimal_plan(mu, nu, 2)
+
+
 def test_uniqueness_has_no_size_limit():
     """40x40 instances of known answer: a measure against itself has the
     identity as its only optimal coupling, and twenty far-apart copies
@@ -240,7 +285,7 @@ def test_plan_csv_layout():
     )
     _, plan = wasserstein(mu, nu, 2)
     out = io.StringIO()
-    plan.to_csv(out, plan._cell_costs(2))
+    plan.to_csv(out, cell_costs(plan, 2))
     lines = out.getvalue().strip().splitlines()
     assert lines[0] == "i,j,x_i,y_j,weight,cost"
     assert len(lines) == 3
@@ -431,7 +476,7 @@ def test_exact_dirac_solve_is_the_product_plan(p):
             power, plan = solution.power, solution.plan(mu, nu)
             want = product_plan(mu, nu)
             assert type(power) is F
-            assert power == want.cost_pow(p)
+            assert power == cost_pow(want, p)
             assert plan.entries == want.entries
 
 
@@ -443,7 +488,7 @@ def test_float_dirac_solve_keeps_the_product_plan():
         [(Point2(0.0, 0.0), 0.3), (Point2(1.0, 0.0), 0.3), (Point2(2.0, 0.0), 0.4)]
     )
     nu = DiscreteMeasure.dirac(Point2(F(0), F(1)))
-    want = product_plan(mu, nu).cost_pow(2)
+    want = cost_pow(product_plan(mu, nu), 2)
     assert want == 2.2
     assert wasserstein_pow(mu, nu, 2) == want
     assert wasserstein_pow(nu, mu, 2) == want
@@ -454,13 +499,13 @@ def test_plan_decides_exactness_once():
     nu = DiscreteMeasure.dirac(Point2(F(4), F(0)))
     exact = TransportPlan(mu, nu, [(0, 0, F(1, 2)), (1, 0, F(1, 2))])
     assert exact.exact
-    assert exact.cost_pow(2) == 10 and type(exact.cost_pow(2)) is F
-    assert type(exact.cost_pow(1.5)) is float
+    assert cost_pow(exact, 2) == 10 and type(cost_pow(exact, 2)) is F
+    assert type(cost_pow(exact, 1.5)) is float
     # float weights on exact measures: marginals at tolerance, float costs
     approx = TransportPlan(mu, nu, [(0, 0, 0.5), (1, 0, 0.5 + 1e-12)])
     assert not approx.exact
-    assert approx.cost_pow(2) == pytest.approx(10.0)
-    assert type(approx.cost_pow(2)) is float
+    assert cost_pow(approx, 2) == pytest.approx(10.0)
+    assert type(cost_pow(approx, 2)) is float
     assert exact == TransportPlan(mu, nu, exact.entries)
 
 
@@ -565,6 +610,28 @@ def test_certificate_rejects_objectives_that_do_not_meet(monkeypatch, wrong):
 
     fake_solver(monkeypatch, edit)
     assert_every_solve_raises(mu, nu, "strong duality")
+
+
+def test_certificate_checks_the_uniqueness_probe(monkeypatch):
+    """Both couplings of the line pair cost 4.  A second solve that
+    returns the first plan at cost 0 with zero potentials claims that
+    plan is the only optimum; the probe prices the tight cell outside
+    the plan at -1, so the certificate of that solve alone rejects it."""
+    mu, nu = line_pair((0, 1), (2, 3))
+    assert not is_unique_optimal_plan(mu, nu, 1)
+    solutions = []
+
+    def edit(solution, cost):
+        solutions.append(solution)
+        if len(solutions) == 1:
+            return solution
+        _, flows, _, _ = solutions[0]
+        return 0, flows, [0, 0], [0, 0]
+
+    fake_solver(monkeypatch, edit)
+    with pytest.raises(RuntimeError, match="certificate: dual feasibility"):
+        is_unique_optimal_plan(mu, nu, 1)
+    assert len(solutions) == 2
 
 
 def test_wasserstein_pow_builds_no_plan(monkeypatch):
