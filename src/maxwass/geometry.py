@@ -71,10 +71,14 @@ def require_in_square(x: Point2, what: str = "point"):
         raise outside_square(x, what)
 
 
+def point_for_message(x: Point2) -> str:
+    """The text of x in an error message."""
+    return f"({for_message(x.x1)}, {for_message(x.x2)})"
+
+
 def outside_square(x: Point2, what: str) -> ConstraintError:
     """The error for a point x outside [-1,1]^2, naming x."""
-    where = f"({for_message(x.x1)}, {for_message(x.x2)})"
-    return ConstraintError(f"{what} {where} lies outside [-1,1]^2")
+    return ConstraintError(f"{what} {point_for_message(x)} lies outside [-1,1]^2")
 
 
 @dataclass(frozen=True)

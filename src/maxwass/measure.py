@@ -29,6 +29,7 @@ from .geometry import (
     Point2,
     in_square,
     outside_square,
+    point_for_message,
     project_point,
 )
 from .scalars import (
@@ -46,13 +47,16 @@ from .scalars import (
 Atom = tuple[Point2, Scalar]
 
 
+def _negative_weight(x: Point2, w: Scalar) -> ConstraintError:
+    """The error for an atom of negative weight w at x."""
+    return ConstraintError(f"negative weight {for_message(w)} at {point_for_message(x)}")
+
+
 def _merge_atoms(atoms: Iterable[Atom]) -> tuple[Atom, ...]:
     kept: list[list] = []
     for x, w in sorted(atoms, key=lambda a: (a[0].x1, a[0].x2)):
         if w < 0:
-            raise ConstraintError(
-                f"negative weight {for_message(w, repr)} at {for_message(tuple(x), repr)}"
-            )
+            raise _negative_weight(x, w)
         if w == 0:
             continue
         if kept:
@@ -114,9 +118,7 @@ def _merge_exact(atoms: Iterable[Atom]) -> tuple[tuple[Atom, ...], IntegerForm]:
     for key, x, w in keyed:
         k = w.numerator * (weight_scale // w.denominator)
         if k < 0:
-            raise ConstraintError(
-                f"negative weight {for_message(w, repr)} at {for_message(tuple(x), repr)}"
-            )
+            raise _negative_weight(x, w)
         if coords and coords[-1] == key:
             kept[-1] = (kept[-1][0], kept[-1][1] + w)
             weights[-1] += k

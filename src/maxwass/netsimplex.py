@@ -12,28 +12,37 @@ scalar, Fraction included, also works with tol=0.
 The basis is a spanning tree on the bipartite graph of rows 0..m-1 and
 columns m..m+n-1, rooted at row 0, and every lookup in it is by node:
 each node but the root owns the tree cell to its parent, and keeps
-that cell's flow beside its parent and its depth; one set of tree
-neighbours per node serves the re-hang and tells basic cells from the
-rest in pricing.  The northwest-corner start sets parent, depth, flow
-and potential directly for the row or column each staircase cell
-opens.  The tree is kept strongly feasible (W. H. Cunningham, "A
-network simplex method", Math. Programming 11, 1976): every zero-flow
-tree cell points from its child toward the root.  Leaving by the last
-blocking cell of the pivot cycle, met from its apex in the entering
-cell's direction, keeps it so and rules out cycling on the highly
-degenerate instances this package cares about.
+that cell's flow beside its parent.  The tree carries the index of
+LEMON's network simplex (P. Kovács, "Minimum-cost flow algorithms: an
+experimental evaluation", Optim. Methods Softw. 30(1), 2015): a thread
+through the nodes in preorder, its reverse, and per node the size of
+its subtree and the subtree's last node in thread order.  The
+northwest-corner staircase opens each row or column below the node it
+opened last or that node's parent, so its opening order is already a
+preorder: the start sets parent, flow and potential for the row or
+column each cell opens and reads the index off that order.  The tree
+is kept strongly feasible (W. H. Cunningham, "A network simplex
+method", Math. Programming 11, 1976): every zero-flow tree cell points
+from its child toward the root.  Leaving by the last blocking cell of
+the pivot cycle, met from its apex in the entering cell's direction,
+keeps it so and rules out cycling on the highly degenerate instances
+this package cares about.
 
 Pricing is block search, as in the LEMON-derived solver of Bonneel, van
 de Panne, Paris and Heidrich (ACM TOG 30(6), 2011): the cells are
 scanned cyclically in blocks of isqrt(m*n), and the most negative
-reduced cost of the first block that has one enters.  A pivot re-hangs
-only the subtree the leaving cell cuts off: the tree path from the
-entering cell up to the leaving cell reverses, each of its flows
-passing to the node below, and the parents, depths and potentials of
-the subtree are recomputed from the costs along the tree, so float
-potentials equal a full rebuild from the root and never drift.  The
-pivot count is capped at a multiple of m*n, far above what the
-instances here need (under m*n/5 on 20x20 and 40x40 1/8-grid ones).
+reduced cost of the first block that has one enters.  A basic cell
+never does, as its reduced cost is 0 (on floats, within rounding far
+below the tolerance).  The cycle is found by climbing from the end of
+the entering cell with the smaller subtree.  A pivot updates the index
+as LEMON does: only the stem, the tree path from the entering cell up
+to the leaving cell, reverses, each of its flows passing to the node
+below, and the subtree the leaving cell cuts off moves in the thread
+as a whole.  Its potentials are then recomputed along the thread from
+the costs of the tree cells, so float potentials equal a full rebuild
+from the root and never drift.  The pivot count is capped at a
+multiple of m*n, far above what the instances here need (under m*n/5
+on 20x20 and 40x40 1/8-grid ones).
 
 A solve returns the total, the positive flows and the final row and
 column potentials.  The total is summed over the positive flows in
@@ -51,6 +60,27 @@ from math import isqrt
 _PIVOTS_PER_CELL = 20
 
 
+def _tree_index(order, parent):
+    """The index of the tree with the given parents whose preorder is
+    `order`: thread[x] is the node after x in that order, circular back
+    to the root, and rev_thread its inverse; succ_num[x] counts the
+    subtree of x, x included, and last_succ[x] is its last node in
+    thread order."""
+    nodes = len(order)
+    thread = [0] * nodes
+    rev_thread = [0] * nodes
+    for x, y in zip(order, order[1:] + order[:1]):
+        thread[x] = y
+        rev_thread[y] = x
+    succ_num = [1] * nodes
+    for x in reversed(order[1:]):
+        succ_num[parent[x]] += succ_num[x]
+    last_succ = [0] * nodes
+    for k, x in enumerate(order):
+        last_succ[x] = order[k + succ_num[x] - 1]
+    return thread, rev_thread, succ_num, last_succ
+
+
 def solve_transportation(cost, supply, demand, tol=0):
     """Minimize sum(cost[i][j] * x[i][j]) over the transportation polytope.
 
@@ -62,12 +92,11 @@ def solve_transportation(cost, supply, demand, tol=0):
     (exactly on ints, up to rounding on floats).
     """
     m, n = len(supply), len(demand)
+    nodes = m + n
     # node k < m is row k, node m + j is column j; every node but the
     # root row 0 owns the tree cell to its parent and that cell's flow
-    parent = [-1] * (m + n)
-    depth = [0] * (m + n)
-    flow = [0] * (m + n)
-    nbr = [set() for _ in range(m + n)]  # tree neighbours
+    parent = [-1] * nodes
+    flow = [0] * nodes
     u = [0] * m
     v = [0] * n
 
@@ -76,28 +105,29 @@ def solve_transportation(cost, supply, demand, tol=0):
     # cells before it.  Its tie rule advances the row, so a zero-flow
     # cell (i+1, j) hangs child row i+1 from parent column j and points
     # toward the root row 0: the start tree is strongly feasible (on
-    # floats, up to rounding in the margin totals).
+    # floats, up to rounding in the margin totals).  The shared node is
+    # the last one opened or its parent, whose other children have no
+    # children yet, so the opening order is a preorder.
     rs = list(supply)
     rd = list(demand)
     i = j = 0
+    order = [0]
     opens_row = False  # the first cell opens column 0 below the root
     while True:
         q = rs[i] if rs[i] < rd[j] else rd[j]
         rs[i] -= q
         rd[j] -= q
         c = m + j
-        nbr[i].add(c)
-        nbr[c].add(i)
         if opens_row:
             parent[i] = c
-            depth[i] = depth[c] + 1
             flow[i] = q
             u[i] = cost[i][j] - v[j]
+            order.append(i)
         else:
             parent[c] = i
-            depth[c] = depth[i] + 1
             flow[c] = q
             v[j] = cost[i][j] - u[i]
+            order.append(c)
         if i == m - 1 and j == n - 1:
             break
         opens_row = i < m - 1 and (j == n - 1 or rs[i] == 0)
@@ -106,33 +136,7 @@ def solve_transportation(cost, supply, demand, tol=0):
         else:
             j += 1
 
-    def hang(top):
-        """Parents, depths and potentials below `top`, from its own."""
-        stack = [top]
-        while stack:
-            x = stack.pop()
-            px = parent[x]
-            dx = depth[x] + 1
-            if x < m:
-                ux = u[x]
-                row_cost = cost[x]
-                for c in nbr[x]:
-                    if c != px:
-                        parent[c] = x
-                        depth[c] = dx
-                        k = c - m
-                        v[k] = row_cost[k] - ux
-                        stack.append(c)
-            else:
-                k = x - m
-                vk = v[k]
-                for r in nbr[x]:
-                    if r != px:
-                        parent[r] = x
-                        depth[r] = dx
-                        u[r] = cost[r][k] - vk
-                        stack.append(r)
-
+    thread = None  # the tree index, built at the first pivot
     cells = m * n
     block = max(1, isqrt(cells))
     pos = 0  # the next cell to price, row-major
@@ -145,10 +149,9 @@ def solve_transportation(cost, supply, demand, tol=0):
             j1 = min(n, j0 + block - in_block, j0 + cells - scanned)
             ui = u[ie]
             row_cost = cost[ie]
-            basic = nbr[ie]
             for je in range(j0, j1):
                 rc = row_cost[je] - ui - v[je]
-                if rc < best and m + je not in basic:
+                if rc < best:
                     best = rc
                     entering = (ie, je)
             step = j1 - j0
@@ -161,21 +164,25 @@ def solve_transportation(cost, supply, demand, tol=0):
                 in_block = 0
         if entering is None:
             break
+        if thread is None:
+            thread, rev_thread, succ_num, last_succ = _tree_index(order, parent)
 
         ie, je = entering
         ce = m + je
-        # climb from both ends of the entering cell to the apex; both
-        # paths alternate row and column, up_a from row ie, up_b from
-        # column je
+        # climb from both ends of the entering cell to the apex, always
+        # from the end with the smaller subtree, which is not the apex;
+        # both paths alternate row and column, up_a from row ie, up_b
+        # from column je
         a, b = ie, ce
         up_a, up_b = [], []
         while a != b:
-            if depth[a] >= depth[b]:
+            if succ_num[a] < succ_num[b]:
                 up_a.append(a)
                 a = parent[a]
             else:
                 up_b.append(b)
                 b = parent[b]
+        apex = a
         # the cycle runs from the apex down to row ie, through the
         # entering cell, then from column je up to the apex; a tree cell
         # loses flow where the cycle meets it against its row -> column
@@ -203,28 +210,129 @@ def solve_transportation(cost, supply, demand, tol=0):
         # the leaving cell cuts off the subtree of its child node `out`:
         # a row on the way down, whose subtree holds row ie; a column on
         # the way up, whose subtree holds column je.  That subtree now
-        # hangs from the entering cell, so the tree path from its new top
-        # up to `out` reverses and each cell's flow passes to the node
-        # below it, the top taking the entering flow theta.
-        po = parent[out]
-        nbr[out].discard(po)
-        nbr[po].discard(out)
-        nbr[ie].add(ce)
-        nbr[ce].add(ie)
+        # hangs from the entering cell by its end `top`, so the stem from
+        # `top` up to `out` reverses, each cell's flow passing to the node
+        # below it and `top` taking the entering flow theta.  The index
+        # follows LEMON's updateTreeStructure.
         if out < m:
             top, under = ie, ce
-            u[ie] = cost[ie][je] - v[je]
         else:
             top, under = ce, ie
-            v[je] = cost[ie][je] - u[ie]
-        x, q = top, theta
-        while x != out:
-            flow[x], q = q, flow[x]
+        out_parent = parent[out]
+        old_rev_thread = rev_thread[out]
+        old_succ_num = succ_num[out]
+        old_last_succ = last_succ[out]
+        if top == out:
+            parent[top] = under
+            flow[top] = theta
+            if thread[under] != out:
+                # move the subtree of `out` in the thread to after `under`
+                after = thread[old_last_succ]
+                thread[old_rev_thread] = after
+                rev_thread[after] = old_rev_thread
+                after = thread[under]
+                thread[under] = out
+                rev_thread[out] = under
+                thread[old_last_succ] = after
+                rev_thread[after] = old_last_succ
+        else:
+            # after the moved subtree the thread goes on where it went on
+            # after `under`; when `under` came right before `out`, that is
+            # after the old subtree of `out`
+            if old_rev_thread == under:
+                thread_continue = thread[old_last_succ]
+            else:
+                thread_continue = thread[under]
+            # thread the stem nodes after `under`, each one's remaining
+            # subtree followed by the next stem node, and give each its
+            # new parent
+            stem, par_stem = top, under
+            last = last_succ[top]
+            after = thread[last]
+            thread[under] = top
+            dirty = [under]  # nodes whose thread successor changed
+            while stem != out:
+                next_stem = parent[stem]
+                thread[last] = next_stem
+                dirty.append(last)
+                before = rev_thread[stem]
+                thread[before] = after
+                rev_thread[after] = before
+                parent[stem] = par_stem
+                par_stem = stem
+                stem = next_stem
+                # the subtree of the new stem node, less the part below
+                # par_stem, ends where par_stem's began if both ended alike
+                if last_succ[stem] == last_succ[par_stem]:
+                    last = rev_thread[par_stem]
+                else:
+                    last = last_succ[stem]
+                after = thread[last]
+            parent[out] = par_stem
+            thread[last] = thread_continue
+            rev_thread[thread_continue] = last
+            last_succ[out] = last
+            if old_rev_thread != under:
+                thread[old_rev_thread] = after
+                rev_thread[after] = old_rev_thread
+            for x in dirty:
+                rev_thread[thread[x]] = x
+            # down the reversed stem from `out` to `top`: flows, subtree
+            # sizes and the shared last node
+            size = 0
+            x = out
+            while x != top:
+                p = parent[x]
+                flow[x] = flow[p]
+                size += succ_num[x] - succ_num[p]
+                succ_num[x] = size
+                last_succ[p] = last
+                x = p
+            flow[top] = theta
+            succ_num[top] = old_succ_num
+
+        # the subtrees that ended at `under` now end with the moved
+        # subtree; below the apex, those that ended with the old subtree
+        # of `out` end where it began, or with the moved subtree when it
+        # kept its place in the thread
+        new_last = last_succ[out]
+        up_limit = apex if last_succ[apex] == under else -1
+        x = under
+        while x != -1 and last_succ[x] == under:
+            last_succ[x] = new_last
             x = parent[x]
-        flow[out] = q
-        parent[top] = under
-        depth[top] = depth[under] + 1
-        hang(top)
+        if apex != old_rev_thread and under != old_rev_thread:
+            x = out_parent
+            while x != up_limit and last_succ[x] == old_last_succ:
+                last_succ[x] = old_rev_thread
+                x = parent[x]
+        elif new_last != old_last_succ:
+            x = out_parent
+            while x != up_limit and last_succ[x] == old_last_succ:
+                last_succ[x] = new_last
+                x = parent[x]
+        x = under
+        while x != apex:
+            succ_num[x] += old_succ_num
+            x = parent[x]
+        x = out_parent
+        while x != apex:
+            succ_num[x] -= old_succ_num
+            x = parent[x]
+
+        # potentials of the moved subtree, in thread order from `top`, so
+        # each node's parent comes first
+        stop = thread[last_succ[top]]
+        x = top
+        while x != stop:
+            p = parent[x]
+            if x < m:
+                k = p - m
+                u[x] = cost[x][k] - v[k]
+            else:
+                k = x - m
+                v[k] = cost[p][k] - u[p]
+            x = thread[x]
     else:
         raise RuntimeError("network simplex failed to terminate")
 

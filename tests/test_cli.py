@@ -300,6 +300,23 @@ def test_non_finite_scalar_is_parse_error(tmp_path, coord, flags):
     assert "error:" in out.stderr
 
 
+@pytest.mark.parametrize(
+    "x, where",
+    [(["0", "0"], "(0, 0)"), ([0.5, 0], "(0.5, 0)"), ([0.5, 0.25], "(0.5, 0.25)")],
+    ids=["exact", "mixed", "float"],
+)
+def test_negative_weight_message_prints_numbers(tmp_path, capsys, x, where):
+    """The weight and the point read as numbers, not as Python reprs."""
+    path = tmp_path / "neg.json"
+    atoms = [{"x": x, "w": "-1/2"}, {"x": ["1", "0"], "w": "3/2"}]
+    path.write_text(json.dumps({"atoms": atoms}))
+    assert cli.main(["dist", str(path), "--dirac", "0,0"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: negative weight -1/2 at {where}\n"
+    assert "Fraction" not in err
+
+
 @pytest.mark.parametrize("atoms", ["5", "null", '"abc"', "{}"])
 def test_non_array_atoms_is_parse_error(tmp_path, atoms):
     path = tmp_path / "bad.json"

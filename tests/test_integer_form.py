@@ -102,7 +102,7 @@ def point(x1, x2):
     [
         (
             [(point(2, 0), F(-1, 2)), (point(-1, 0), F(-1, 4)), (point(0, 0), F(7, 4))],
-            r"^negative weight Fraction\(-1, 4\) at \(Fraction\(-1, 1\), Fraction\(0, 1\)\)$",
+            r"^negative weight -1/4 at \(-1, 0\)$",
         ),
         (
             [(point(1, 0), F(1, 3)), (point(0, 0), F(1, 3))],

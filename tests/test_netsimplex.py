@@ -13,6 +13,7 @@ last bits, as the node-indexed solver sums it in row-major cell order.
 
 from math import isqrt
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -250,3 +251,45 @@ def test_float_total_is_summed_in_row_major_order(instance):
     cost = instance[0]
     total, flows, _, _ = solve_transportation(*instance)
     assert total == sum(cost[i][j] * x for (i, j), x in sorted(flows.items()))
+
+
+@st.composite
+def grid_int_instances(draw):
+    """Costs max(|x1-y1|, |x2-y2|)^p between points of the integer grid
+    [-8, 8]^2 and weights 1-12 brought to a common total, on 10 to 30
+    rows and columns: pivot runs long enough to move most of the tree."""
+    m, n, p = draw(st.integers(10, 30)), draw(st.integers(10, 30)), draw(st.integers(1, 3))
+    point = st.tuples(st.integers(-8, 8), st.integers(-8, 8))
+    xs = draw(st.lists(point, min_size=m, max_size=m))
+    ys = draw(st.lists(point, min_size=n, max_size=n))
+    a = draw(st.lists(st.integers(1, 12), min_size=m, max_size=m))
+    b = draw(st.lists(st.integers(1, 12), min_size=n, max_size=n))
+    cost = [[max(abs(x1 - y1), abs(x2 - y2)) ** p for y1, y2 in ys] for x1, x2 in xs]
+    return cost, [r * sum(b) for r in a], [r * sum(a) for r in b]
+
+
+@settings(max_examples=50, deadline=None)
+@given(instance=grid_int_instances())
+def test_long_int_solve_pivots_as_the_reference(instance):
+    assert solve_transportation(*instance) == reference_solve(*instance)
+
+
+@pytest.mark.parametrize(
+    "cost, supply, demand",
+    [
+        ([[3, 1, 2, 0]], [10], [1, 2, 3, 4]),
+        ([[3], [1], [2], [0]], [1, 2, 3, 4], [10]),
+        ([[5]], [2], [2]),
+    ],
+    ids=["one-row", "one-column", "one-cell"],
+)
+def test_int_solve_on_one_line(cost, supply, demand):
+    """A single row or column has one feasible plan, the start: every
+    cell is basic and none may enter."""
+    total, flows, u, v = solve_transportation(cost, supply, demand)
+    assert (total, flows, u, v) == reference_solve(cost, supply, demand)
+    if len(supply) == 1:
+        assert flows == {(0, j): q for j, q in enumerate(demand)}
+    else:
+        assert flows == {(i, 0): q for i, q in enumerate(supply)}
+    assert total == sum(cost[i][j] * q for (i, j), q in flows.items())
