@@ -14,19 +14,20 @@ columns m..m+n-1, rooted at row 0, and every lookup in it is by node:
 each node but the root owns the tree cell to its parent, and keeps
 that cell's flow beside its parent.  The tree carries the index of
 LEMON's network simplex (P. Kovács, "Minimum-cost flow algorithms: an
-experimental evaluation", Optim. Methods Softw. 30(1), 2015): a thread
-through the nodes in preorder, its reverse, and per node the size of
-its subtree and the subtree's last node in thread order.  The
+experimental evaluation", Optim. Methods Softw. 30(1), 2015): a
+thread through the nodes in preorder, its reverse, and per node the
+size of its subtree and the subtree's last node in thread order.  The
 northwest-corner staircase opens each row or column below the node it
 opened last or that node's parent, so its opening order is already a
 preorder: the start sets parent, flow and potential for the row or
-column each cell opens and reads the index off that order.  The tree
-is kept strongly feasible (W. H. Cunningham, "A network simplex
-method", Math. Programming 11, 1976): every zero-flow tree cell points
-from its child toward the root.  Leaving by the last blocking cell of
-the pivot cycle, met from its apex in the entering cell's direction,
-keeps it so and rules out cycling on the highly degenerate instances
-this package cares about.
+column each cell opens, and the first pivot reads the index off that
+order, so a solve that needs no pivot, as on a single row or column,
+never builds it.  The tree is kept strongly feasible (W. H.
+Cunningham, "A network simplex method", Math. Programming 11, 1976):
+every zero-flow tree cell points from its child toward the root.
+Leaving by the last blocking cell of the pivot cycle, met from its
+apex in the entering cell's direction, keeps it so and rules out
+cycling on the highly degenerate instances this package cares about.
 
 Pricing is block search, as in the LEMON-derived solver of Bonneel, van
 de Panne, Paris and Heidrich (ACM TOG 30(6), 2011): the cells are
@@ -92,11 +93,10 @@ def solve_transportation(cost, supply, demand, tol=0):
     (exactly on ints, up to rounding on floats).
     """
     m, n = len(supply), len(demand)
-    nodes = m + n
     # node k < m is row k, node m + j is column j; every node but the
     # root row 0 owns the tree cell to its parent and that cell's flow
-    parent = [-1] * nodes
-    flow = [0] * nodes
+    parent = [-1] * (m + n)
+    flow = [0] * (m + n)
     u = [0] * m
     v = [0] * n
 
