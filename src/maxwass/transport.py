@@ -142,29 +142,37 @@ class TransportPlan:
     entries: tuple[tuple[int, int, Scalar], ...]
     exact: bool = field(init=False, compare=False, repr=False)
 
-    def __init__(self, source, target, entries):
-        cells = {}
-        for i, j, w in entries:
-            if w < 0:
-                raise ConstraintError(f"negative plan weight at ({i}, {j})")
-            if not (0 <= i < source.support_size and 0 <= j < target.support_size):
-                raise ConstraintError(f"plan entry ({i}, {j}) out of range")
-            if (i, j) in cells:
-                cells[i, j] += w
-            else:
-                cells[i, j] = w
-        kept = [
-            (i, j, w)
-            for (i, j), w in cells.items()
-            if not (w == 0 or (isinstance(w, float) and w <= 1e-14))
-        ]
-        kept.sort(key=lambda e: (e[0], e[1]))
+    def __init__(self, source, target, entries, *, _certified=False):
+        if _certified:
+            # the plan of a certified exact solve: positive Fractions on
+            # distinct cells in row-major order, whose margins the
+            # certificate proved in ints, so none of it is checked again
+            kept, exact = tuple(entries), True
+        else:
+            cells = {}
+            for i, j, w in entries:
+                if w < 0:
+                    raise ConstraintError(f"negative plan weight at ({i}, {j})")
+                if not (0 <= i < source.support_size and 0 <= j < target.support_size):
+                    raise ConstraintError(f"plan entry ({i}, {j}) out of range")
+                if (i, j) in cells:
+                    cells[i, j] += w
+                else:
+                    cells[i, j] = w
+            kept = [
+                (i, j, w)
+                for (i, j), w in cells.items()
+                if not (w == 0 or (isinstance(w, float) and w <= 1e-14))
+            ]
+            kept.sort(key=lambda e: (e[0], e[1]))
+            kept = tuple(kept)
+            exact = source.exact and target.exact and all(is_exact(w) for *_, w in kept)
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
-        object.__setattr__(self, "entries", tuple(kept))
-        exact = source.exact and target.exact and all(is_exact(w) for *_, w in kept)
+        object.__setattr__(self, "entries", kept)
         object.__setattr__(self, "exact", exact)
-        self._check_marginals()
+        if not _certified:
+            self._check_marginals()
 
     def _check_marginals(self):
         wants = (self.source.weights(), self.target.weights())
@@ -248,16 +256,51 @@ def _certificate_failure(cost, supply, demand, solution):
     return None
 
 
-def _certified_solve(cost, supply, demand):
-    """The one exact solve: the simplex solution of an integer instance
-    and that solution's optimality certificate.
+def _product_solution(cost, supply, demand):
+    """The product plan of a 1 x n or n x 1 integer instance and the
+    first condition it fails, as (solution, failure or None).
 
-    Returns the (total, flows, u, v) of `solve_transportation`.  A failed
-    certificate is a solver bug and raises RuntimeError, like the pivot
-    cap; no answer is returned.
+    The solution is the one `solve_transportation` returns there: the
+    northwest corner is the product plan and needs no pivot, and its
+    potentials are u_0 = 0, v_j = c_0j on a row, and v_0 = c_00,
+    u_i = c_i0 - c_00 on a column.  With one atom on a side, a feasible
+    plan is the only coupling, so feasibility alone proves it optimal:
+    every flow is positive and the atom's margin equals the other
+    side's total, in O(n) ints.  The dual and strong-duality clauses of
+    `_certificate_failure` hold by construction, as every reduced cost
+    is 0 and the total is sum c*x, so they are not re-run.
     """
-    solution = solve_transportation(cost, supply, demand, 0)
-    failed = _certificate_failure(cost, supply, demand, solution)
+    if len(supply) == 1:
+        row = cost[0]
+        flows = {(0, j): d for j, d in enumerate(demand)}
+        total = sum(map(operator.mul, row, demand))
+        solution = (total, flows, [0], list(row))
+        atom, others = supply[0], demand
+    else:
+        c00 = cost[0][0]
+        flows = {(i, 0): s for i, s in enumerate(supply)}
+        total = sum(row[0] * s for row, s in zip(cost, supply))
+        solution = (total, flows, [row[0] - c00 for row in cost], [c00])
+        atom, others = demand[0], supply
+    if min(others) <= 0 or sum(others) != atom:
+        return solution, "primal feasibility"
+    return solution, None
+
+
+def _certified_solve(cost, supply, demand):
+    """The one exact solve: an optimal vertex of an integer instance and
+    its optimality certificate.
+
+    Returns the (total, flows, u, v) of `solve_transportation`: from the
+    simplex, or, when a side has one atom, from `_product_solution`.  A
+    failed certificate is a solver bug and raises RuntimeError, like the
+    pivot cap; no answer is returned.
+    """
+    if len(supply) == 1 or len(demand) == 1:
+        solution, failed = _product_solution(cost, supply, demand)
+    else:
+        solution = solve_transportation(cost, supply, demand, 0)
+        failed = _certificate_failure(cost, supply, demand, solution)
     if failed is not None:
         raise RuntimeError(f"exact solve failed its optimality certificate: {failed}")
     return solution
@@ -273,19 +316,21 @@ class _Solution(NamedTuple):
     """
 
     power: Scalar
-    flows: dict  # (i, j) -> positive flow of the vertex
+    flows: dict  # (i, j) -> positive flow of the vertex, row-major
     cost: list  # the m x n cost matrix
     weight_scale: int | None
     cost_scale: int | None
 
     def plan(self, mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportPlan:
-        """The vertex as a plan between mu and nu, the measures solved."""
+        """The vertex as a plan between mu and nu, the measures solved.
+        An exact vertex is certified already; a float one takes every
+        check of `TransportPlan`, which prunes float dust."""
         scale = self.weight_scale
         if scale is None:
             entries = [(i, j, x) for (i, j), x in self.flows.items()]
         else:
             entries = [(i, j, Fraction(f, scale)) for (i, j), f in self.flows.items()]
-        return TransportPlan(mu, nu, entries)
+        return TransportPlan(mu, nu, entries, _certified=scale is not None)
 
     def cell_cost(self, i: int, j: int) -> Scalar:
         """dm(x_i, y_j)^p, read off the cost matrix."""

@@ -28,7 +28,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
 
-def run_cli(*args, env_extra=None, timeout=None):
+def run_cli(*args, env_extra=None, timeout=120):
     env = dict(os.environ)
     env.pop("MAXWASS_SEED", None)
     # the child imports this checkout's package, installed or not

@@ -303,6 +303,39 @@ def test_plan_with_one_wrong_exact_weight_fails_its_marginals():
         TransportPlan(mu, nu, [(0, 0, F(1, 3)), (1, 1, F(2, 3))])
 
 
+def test_solver_plans_equal_the_checked_plans():
+    """The exact plans a solve builds without re-checking them are the
+    plans the checked constructor builds from the same flows."""
+    rng = random.Random(13)
+    for k in range(60):
+        p = (1, 2, 3)[k % 3]
+        mu, nu = rand_measure(rng, 6), rand_measure(rng, 6)
+        solution = transport._solve(mu, nu, p)
+        plan = solution.plan(mu, nu)
+        checked = TransportPlan(
+            mu, nu, [(i, j, F(f, solution.weight_scale)) for (i, j), f in solution.flows.items()]
+        )
+        assert plan.exact and checked.exact
+        assert plan.entries == checked.entries
+        assert plan == checked
+
+
+@pytest.mark.parametrize(
+    "bad, match",
+    [
+        ((0, 0, F(-1, 2)), "negative plan weight"),
+        ((0, 2, F(1, 2)), "out of range"),
+        ((0, 0, F(1, 4)), "marginal mismatch"),
+    ],
+)
+def test_plans_built_outside_the_solver_keep_every_check(bad, match):
+    mu, nu = TIE_MU, TIE_NU
+    entries = list(wasserstein(mu, nu, 1)[1].entries)
+    entries[0] = bad
+    with pytest.raises(ConstraintError, match=match):
+        TransportPlan(mu, nu, entries)
+
+
 def test_plan_merges_duplicate_cells():
     mu = DiscreteMeasure([(Point2(F(0), F(0)), F(1, 3)), (Point2(F(1), F(0)), F(2, 3))])
     nu = DiscreteMeasure.dirac(Point2(F(0), F(1)))
@@ -451,22 +484,30 @@ def test_exact_solves_pass_only_ints_to_the_simplex(monkeypatch):
 
     monkeypatch.setattr(transport, "solve_transportation", spy)
     rng = random.Random(107)
+    one_atom = []
     for k in range(30):
         p = (1, 2, 3)[k % 3]
-        wasserstein_pow(rand_measure(rng), rand_measure(rng), p)
+        mu, nu = rand_measure(rng), rand_measure(rng)
+        wasserstein_pow(mu, nu, p)
+        if 1 in (mu.support_size, nu.support_size):
+            one_atom.append(_integer_instance(mu, nu, p)[:3])
     assert calls
     for cost, supply, demand, tol, (total, flows, u, v) in calls:
         values = [c for row in cost for c in row]
         values += [*supply, *demand, tol, total, *flows.values(), *u, *v]
         assert all(type(v) is int for v in values)
-    # exact Diracs take the integer simplex too
-    assert any(1 in (len(supply), len(demand)) for _, supply, demand, _, _ in calls)
+    # exact one-atom sides never reach the simplex; the product route
+    # answers them in ints
+    assert one_atom and not any(1 in (len(s), len(d)) for _, s, d, _, _ in calls)
+    for instance in one_atom:
+        total, flows, u, v = transport._certified_solve(*instance)
+        assert all(type(v) is int for v in (total, *flows.values(), *u, *v))
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_exact_dirac_solve_is_the_product_plan(p):
-    """On a 1 x n instance the northwest corner is the only coupling, so
-    the integer simplex returns the product plan and its cost."""
+    """With one atom on a side the product plan is the only coupling,
+    and the exact solve returns it and its cost."""
     rng = random.Random(11)
     for _ in range(20):
         dirac = DiscreteMeasure.dirac(Point2(rand_frac(rng), rand_frac(rng)))
@@ -478,6 +519,46 @@ def test_exact_dirac_solve_is_the_product_plan(p):
             assert type(power) is F
             assert power == cost_pow(want, p)
             assert plan.entries == want.entries
+
+
+@st.composite
+def one_atom_pair(draw):
+    """An exact Dirac and a measure of 1 to 8 atoms on the 1/8 grid of
+    [-3, 3]^2, in either order, with random weights."""
+    coord = st.integers(-24, 24).map(lambda k: F(k, 8))
+    dirac = DiscreteMeasure.dirac(Point2(draw(coord), draw(coord)))
+    size = draw(st.integers(1, 8))
+    points = [Point2(draw(coord), draw(coord)) for _ in range(size)]
+    parts = draw(st.lists(st.integers(1, 12), min_size=size, max_size=size))
+    other = DiscreteMeasure([(x, F(r, sum(parts))) for x, r in zip(points, parts)])
+    return (dirac, other) if draw(st.booleans()) else (other, dirac)
+
+
+DIRAC_PAIR = (
+    DiscreteMeasure.dirac(Point2(F(1, 2), F(-3, 8))),
+    DiscreteMeasure.dirac(Point2(F(-2), F(5, 8))),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=one_atom_pair(), p=st.sampled_from((1, 2, 3)))
+@example(pair=DIRAC_PAIR, p=2)
+def test_one_atom_route_returns_the_simplex_solution(pair, p):
+    """The product route gives the total, flows (in their order) and
+    potentials that the simplex gives on the same integer instance."""
+    cost, supply, demand, _, _ = _integer_instance(*pair, p)
+    assert 1 in (len(supply), len(demand))
+    got = transport._certified_solve(cost, supply, demand)
+    want = solve_transportation(cost, supply, demand, 0)
+    assert got == want
+    assert list(got[1].items()) == list(want[1].items())
+
+
+@settings(max_examples=100, deadline=None)
+@given(pair=one_atom_pair(), p=st.sampled_from((1, 2, 3)))
+@example(pair=DIRAC_PAIR, p=1)
+def test_a_one_atom_side_has_a_unique_optimal_plan(pair, p):
+    assert is_unique_optimal_plan(*pair, p)
 
 
 def test_float_dirac_solve_keeps_the_product_plan():
@@ -634,13 +715,39 @@ def test_certificate_checks_the_uniqueness_probe(monkeypatch):
     assert len(solutions) == 2
 
 
+@pytest.mark.parametrize("edit", ["demand", "supply", "zero"])
+def test_certificate_checks_the_one_atom_route(monkeypatch, edit):
+    """A one-atom instance whose margins are off by one unit, or whose
+    product plan has a zero flow at the right totals, fails the product
+    route's feasibility check on every exact solve."""
+    mu = DiscreteMeasure.dirac(Point2(F(0), F(0)))
+    nu = DiscreteMeasure([(Point2(F(1), F(0)), F(1, 3)), (Point2(F(0), F(2)), F(2, 3))])
+    if edit == "supply":
+        mu, nu = nu, mu
+    real = _integer_instance
+
+    def broken(mu, nu, q):
+        cost, supply, demand, cost_scale, weight_scale = real(mu, nu, q)
+        if edit == "demand":
+            demand[0] += 1
+        elif edit == "supply":
+            supply[0] += 1
+        else:
+            supply[0] -= demand[0]
+            demand[0] = 0
+        return cost, supply, demand, cost_scale, weight_scale
+
+    monkeypatch.setattr(transport, "_integer_instance", broken)
+    assert_every_solve_raises(mu, nu, "certificate: primal feasibility")
+
+
 def test_wasserstein_pow_builds_no_plan(monkeypatch):
     rng = random.Random(5)
     exact_pair = (rand_measure(rng, 6), rand_measure(rng, 6))
     dirac = DiscreteMeasure.dirac(Point2(F(1), F(-2)))
     float_pair = (float_measure(rng, 5), float_measure(rng, 4))
 
-    def refuse(self, *args):
+    def refuse(self, *args, **kwargs):
         raise AssertionError("a TransportPlan was built")
 
     monkeypatch.setattr(TransportPlan, "__init__", refuse)
