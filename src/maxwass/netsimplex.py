@@ -51,7 +51,10 @@ row-major cell order, so on floats it does not depend on the pivots
 that reached the vertex.  On exact problems `transport._certified_solve`
 checks them as an optimality certificate, independently of the pivots
 that produced them, and `transport.is_unique_optimal_plan` reads the
-potentials as the optimal dual.
+potentials as the optimal dual.  `transport` calls this solver only
+when both sides have two atoms or more: with one atom on a side,
+exact or float, it takes the product plan, the vertex this solver's
+northwest corner returns there with no pivot.
 """
 
 from __future__ import annotations

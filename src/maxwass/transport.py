@@ -5,8 +5,9 @@ transportation LP over the coupling polytope with ground cost dm^p.
 Two independent routes compute it:
 
 * `wasserstein` runs the network simplex, on Python ints whenever both
-  measures are exact and p is a whole number, Diracs included, and on
-  floats otherwise, where a one-atom side takes the product plan;
+  measures are exact and p is a whole number and on floats otherwise;
+  where a side is one atom it takes the product plan, the only
+  coupling, instead;
 * `brute_force_wasserstein` folds the minimum cost over every vertex of
   the coupling polytope, and returns only that number.
 
@@ -19,15 +20,20 @@ by the acceptance suite.  Measures and plans fix their exactness when
 they are built, and every later decision reads that flag.
 
 Every exact solve goes through `_certified_solve`, which takes an
-integer instance (cost, supply, demand): the simplex's final potentials
+integer instance (cost, supply, demand).  When a side has one atom it
+returns the product plan with the potentials the simplex would give it,
+and certifies it in O(n) ints: every flow is positive and the atom's
+margin equals the other side's total, and a feasible plan is optimal
+when it is the only coupling.  Otherwise the simplex's final potentials
 u, v are checked in ints against its flows x (x >= 0 with the exact
 margins, c - u_i - v_j >= 0 on every cell, and sum c*x == sum u*a +
 sum v*b), which proves the vertex optimal without trusting the pivot
 path.  A failed certificate raises RuntimeError.  A solve returns the
-power and its vertex at the scale the simplex ran on: integer flows and
-costs with their scales on exact problems.  Only `wasserstein` and the
-plan outputs of the CLI divide them into a `TransportPlan`, so
-`wasserstein_pow` builds no plan and no Fraction per cell.
+power and its vertex at the scale it ran on: integer flows and costs
+with their scales on exact problems.  Only `wasserstein` and the plan
+outputs of the CLI divide them into a `TransportPlan`, so
+`wasserstein_pow` builds no plan and no Fraction per cell; such an
+exact plan is certified already and skips the plan's own checks.
 
 Uniqueness of the optimal coupling (`is_unique_optimal_plan`) takes two
 certified solves: the problem itself, then a probe on the same margins

@@ -317,7 +317,6 @@ def test_solver_plans_equal_the_checked_plans():
         )
         assert plan.exact and checked.exact
         assert plan.entries == checked.entries
-        assert plan == checked
 
 
 @pytest.mark.parametrize(
@@ -501,7 +500,7 @@ def test_exact_solves_pass_only_ints_to_the_simplex(monkeypatch):
     assert one_atom and not any(1 in (len(s), len(d)) for _, s, d, _, _ in calls)
     for instance in one_atom:
         total, flows, u, v = transport._certified_solve(*instance)
-        assert all(type(v) is int for v in (total, *flows.values(), *u, *v))
+        assert all(type(x) is int for x in (total, *flows.values(), *u, *v))
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
