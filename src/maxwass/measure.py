@@ -8,10 +8,15 @@ measures plain tuple equality.
 
 An exact measure also carries its `IntegerForm`, decided once when it
 is built: every coordinate and weight over the least common
-denominator of its kind.  The constructor sorts and merges exact atoms
-on those integer keys and checks their integer weights against that
-denominator, and `transport._integer_instance` builds every exact
-transport problem from two such forms by rescaling ints alone.
+denominator of its kind.  One walk over the atoms decides whether they
+are all exact and reads each scalar's numerator and denominator once;
+the constructor then sorts and merges exact atoms on those integer
+keys and checks their integer weights against that denominator.  At
+the first inexact scalar the walk stops and the atoms take the float
+merge; if all that merge keeps is exact, as when a float point merged
+into an exact one, it gets its form all the same.
+`transport._integer_instance` builds every exact transport problem
+from two such forms by rescaling ints alone.
 """
 
 from __future__ import annotations
@@ -88,49 +93,72 @@ class IntegerForm(NamedTuple):
     weights: tuple[int, ...]
 
 
-def _all_exact(atoms: Iterable[Atom]) -> bool:
-    return all(is_exact(w) and x.exact for x, w in atoms)
+#: the types `is_exact` accepts, tested by identity before the call
+_EXACT_TYPES = frozenset((int, Fraction))
 
 
-def _merge_exact(atoms: Iterable[Atom]) -> tuple[tuple[Atom, ...], IntegerForm]:
+def _merge_exact(atoms: Iterable[Atom]) -> tuple[tuple[Atom, ...], IntegerForm] | None:
     """_merge_atoms for atoms whose coordinates and weights are all exact,
     sorting and merging on integer keys, with the integer form of the
-    result.  Merged weights add as `_merge_atoms` adds them; every other
-    atom keeps its own point and weight objects."""
-    live = [(x, w) for x, w in atoms if w != 0]
-    coord_scale = math.lcm(*{c.denominator for x, _ in live for c in x})
-    weight_scale = math.lcm(*{w.denominator for _, w in live})
+    result; None as soon as a coordinate or a weight is not exact.
+
+    One walk over the atoms decides exactness and reads each scalar's
+    numerator and denominator once, with `as_integer_ratio`.  Merged
+    weights add as `_merge_atoms` adds them; every other atom keeps its
+    own point and weight objects."""
+    live = []
+    coord_dens, weight_dens = set(), set()
+    for x, w in atoms:
+        x1, x2 = x
+        if (
+            type(x1) not in _EXACT_TYPES and not is_exact(x1)
+            or type(x2) not in _EXACT_TYPES and not is_exact(x2)
+            or type(w) not in _EXACT_TYPES and not is_exact(w)
+        ):
+            return None
+        wn, wd = w.as_integer_ratio()
+        if not wn:
+            continue
+        n1, d1 = x1.as_integer_ratio()
+        n2, d2 = x2.as_integer_ratio()
+        coord_dens.add(d1)
+        coord_dens.add(d2)
+        weight_dens.add(wd)
+        live.append((n1, d1, n2, d2, wn, wd, x, w))
+    coord_scale = math.lcm(*coord_dens)
+    weight_scale = math.lcm(*weight_dens)
     keyed = [
         (
-            (
-                x1.numerator * (coord_scale // x1.denominator),
-                x2.numerator * (coord_scale // x2.denominator),
-            ),
+            (n1 * (coord_scale // d1), n2 * (coord_scale // d2)),
+            wn * (weight_scale // wd),
             x,
             w,
         )
-        for x, w in live
-        for x1, x2 in [x]
+        for n1, d1, n2, d2, wn, wd, x, w in live
     ]
     # stable: atoms at one point keep their input order, as in _merge_atoms
     keyed.sort(key=itemgetter(0))
     kept, coords, weights = [], [], []
-    for key, x, w in keyed:
-        k = w.numerator * (weight_scale // w.denominator)
+    merged = False
+    for key, k, x, w in keyed:
         if k < 0:
             raise _negative_weight(x, w)
         if coords and coords[-1] == key:
             kept[-1] = (kept[-1][0], kept[-1][1] + w)
             weights[-1] += k
+            merged = True
         else:
             kept.append((x, w))
             coords.append(key)
             weights.append(k)
-    # merged weights may share a factor with the scale: 1/6 + 1/6 is 1/3
-    common = math.gcd(weight_scale, *weights)
-    if common > 1:
-        weight_scale //= common
-        weights = [k // common for k in weights]
+    # merged weights may share a factor with the scale: 1/6 + 1/6 is 1/3.
+    # Unmerged ones do not: a prime's highest power in the scale divides
+    # some weight's denominator, and that weight's numerator is prime to it
+    if merged:
+        common = math.gcd(weight_scale, *weights)
+        if common > 1:
+            weight_scale //= common
+            weights = [k // common for k in weights]
     form = IntegerForm(coord_scale, tuple(coords), weight_scale, tuple(weights))
     return tuple(kept), form
 
@@ -144,14 +172,12 @@ class DiscreteMeasure:
 
     def __init__(self, atoms: Iterable[Atom], square_mode: bool = False):
         atoms = list(atoms)
-        form = None
-        if _all_exact(atoms):
-            merged, form = _merge_exact(atoms)
-        else:
+        canonical = _merge_exact(atoms)
+        if canonical is None:
             merged = _merge_atoms(atoms)
-            if _all_exact(merged):
-                # float points merged into exact ones, or carried no mass
-                merged, form = _merge_exact(merged)
+            # float points merged into exact ones, or carried no mass
+            canonical = _merge_exact(merged) or (merged, None)
+        merged, form = canonical
         if not merged:
             raise ConstraintError("a measure needs at least one atom of positive mass")
         if form is not None:

@@ -339,12 +339,14 @@ def solve_transportation(cost, supply, demand, tol=0):
     else:
         raise RuntimeError("network simplex failed to terminate")
 
-    kept = sorted(
-        (x, parent[x] - m, flow[x]) if x < m else (parent[x], x - m, flow[x])
-        for x in range(1, m + n)
-        if flow[x] > 0
-    )
+    kept = []
+    for x in range(1, m + n):
+        q = flow[x]
+        if q > 0:
+            kept.append(((x, parent[x] - m) if x < m else (parent[x], x - m), q))
+    # cells are distinct, so the pairs sort row-major by cell alone
+    kept.sort()
     total = 0
-    for fi, fj, q in kept:
+    for (fi, fj), q in kept:
         total += cost[fi][fj] * q
-    return total, {(fi, fj): q for fi, fj, q in kept}, u, v
+    return total, dict(kept), u, v

@@ -13,8 +13,10 @@ Two independent routes compute it:
 
 Exact problems reach both routes through `_integer_instance`, which
 rescales the two measures' integer forms (`measure.IntegerForm`) to
-common coordinate and weight scales; each route divides by the scales
-once at the end.  Only that input is shared, never the search,
+common coordinate and weight scales, reading a side that is at the
+common scale already as it is and building a one-atom side's single
+row or column as one list; each route divides by the scales once at
+the end.  Only that input is shared, never the search,
 so agreement between the two is a real check and is enforced wholesale
 by the acceptance suite.  Measures and plans fix their exactness when
 they are built, and every later decision reads that flag.
@@ -28,7 +30,8 @@ when it is the only coupling.  Otherwise the simplex's final potentials
 u, v are checked in ints against its flows x (x >= 0 with the exact
 margins, c - u_i - v_j >= 0 on every cell, and sum c*x == sum u*a +
 sum v*b), which proves the vertex optimal without trusting the pivot
-path.  A failed certificate raises RuntimeError.  A solve returns the
+path; one walk over the flows checks their signs and sums both their
+margins and sum c*x, and the clauses are decided in that order.  A failed certificate raises RuntimeError.  A solve returns the
 power and its vertex at the scale it ran on: integer flows and costs
 with their scales on exact problems.  Only `wasserstein` and the plan
 outputs of the CLI divide them into a `TransportPlan`, so
@@ -39,7 +42,9 @@ Uniqueness of the optimal coupling (`is_unique_optimal_plan`) takes two
 certified solves: the problem itself, then a probe on the same margins
 whose costs come from the first solve's reduced costs and plan, and
 whose minimum is 0 iff that plan is the only optimal coupling.  It
-costs about twice a solve.
+costs about twice a solve.  Where a side has one atom the first solve
+decides it alone: the product plan is the only coupling, and its
+certificate proved it feasible.
 """
 
 from __future__ import annotations
@@ -78,7 +83,8 @@ def _require_valid_p(p):
 
 
 def _is_exact_problem(mu: DiscreteMeasure, nu: DiscreteMeasure, p) -> bool:
-    return mu.exact and nu.exact and is_integer_exponent(p)
+    # the integer forms themselves, not the `exact` property over them
+    return mu.integer is not None and nu.integer is not None and is_integer_exponent(p)
 
 
 def _cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, fp: float):
@@ -103,38 +109,73 @@ def _integer_instance(mu: DiscreteMeasure, nu: DiscreteMeasure, q: int):
 
     Coordinates are rescaled to L = lcm(L_mu, L_nu) and weights to
     W = lcm(W_mu, W_nu), the least scales that make both measures
-    whole.  dm is 1-homogeneous, so the costs dm^q scale by L^q.
-    Returns (cost, supply, demand, cost_scale, weight_scale) with
-    cost_scale = L^q and weight_scale = W, all new lists: a total cost
-    divides by W * L^q and a flow by W.  Positive scaling keeps the sign
-    of every comparison, so the optimal vertices are those of the
-    rational instance.  A ConstraintError is raised before any power is
-    taken when dm^q or L^q would exceed _MAX_COST_BITS bits.
+    whole; a side already at the common scale is read as it is.  dm is
+    1-homogeneous, so the costs dm^q scale by L^q.  Returns (cost,
+    supply, demand, cost_scale, weight_scale) with cost_scale = L^q and
+    weight_scale = W: a total cost divides by W * L^q and a flow by W.
+    The cost, its rows, supply and demand are new lists on every call,
+    so a caller may edit them and the forms stay as they were; the
+    certificate compares margins with supply and demand as lists.
+    Positive scaling keeps the sign of every comparison, so the optimal
+    vertices are those of the rational instance.  The largest dm is
+    taken from the rows as they are built, and a ConstraintError is
+    raised before any power is taken when dm^q or L^q would exceed
+    _MAX_COST_BITS bits.  A one-atom side's single row or column is
+    built, bounded and powered as one list.
     """
     a, b = mu.integer, nu.integer
-    coord_scale = math.lcm(a.coord_scale, b.coord_scale)
-    weight_scale = math.lcm(a.weight_scale, b.weight_scale)
-
-    def coords(form):
-        k = coord_scale // form.coord_scale
-        return form.coords if k == 1 else [(x1 * k, x2 * k) for x1, x2 in form.coords]
-
-    def weights(form):
-        k = weight_scale // form.weight_scale
-        return [w * k for w in form.weights]
-
-    cols = coords(b)
-    cost = [
-        [max(abs(a1 - b1), abs(a2 - b2)) for b1, b2 in cols] for a1, a2 in coords(a)
-    ]
+    xs, ys = a.coords, b.coords
+    coord_scale = a.coord_scale
+    if b.coord_scale != coord_scale:
+        coord_scale = math.lcm(coord_scale, b.coord_scale)
+        if coord_scale != a.coord_scale:
+            k = coord_scale // a.coord_scale
+            xs = [(x1 * k, x2 * k) for x1, x2 in xs]
+        if coord_scale != b.coord_scale:
+            k = coord_scale // b.coord_scale
+            ys = [(y1 * k, y2 * k) for y1, y2 in ys]
+    weight_scale = a.weight_scale
+    supply, demand = list(a.weights), list(b.weights)
+    if b.weight_scale != weight_scale:
+        weight_scale = math.lcm(weight_scale, b.weight_scale)
+        if weight_scale != a.weight_scale:
+            k = weight_scale // a.weight_scale
+            supply = [w * k for w in supply]
+        if weight_scale != b.weight_scale:
+            k = weight_scale // b.weight_scale
+            demand = [w * k for w in demand]
+    line = None
+    if len(xs) == 1:
+        # a one-atom side: its single row or column as one flat list,
+        # powered and shaped below
+        ((x1, x2),) = xs
+        line = [max(abs(x1 - y1), abs(x2 - y2)) for y1, y2 in ys]
+    elif len(ys) == 1:
+        ((y1, y2),) = ys
+        line = [max(abs(x1 - y1), abs(x2 - y2)) for x1, x2 in xs]
+    if line is not None:
+        top = max(line)
+    else:
+        cost = []
+        top = 0
+        for x1, x2 in xs:
+            row = [max(abs(x1 - y1), abs(x2 - y2)) for y1, y2 in ys]
+            cost.append(row)
+            row_top = max(row)
+            if row_top > top:
+                top = row_top
     # b.bit_length() - 1 bits per factor is a lower bound on the size of b^q
-    if q * (max(coord_scale, max(map(max, cost))).bit_length() - 1) > _MAX_COST_BITS:
+    if q * (max(coord_scale, top).bit_length() - 1) > _MAX_COST_BITS:
         raise ConstraintError(
             f"an exact cost dm^p would exceed {_MAX_COST_BITS} bits; use a smaller p"
         )
-    if q != 1:
+    if line is not None:
+        if q != 1:
+            line = [d**q for d in line]
+        cost = [line] if len(xs) == 1 else [[d] for d in line]
+    elif q != 1:
         cost = [[d**q for d in row] for row in cost]
-    return cost, weights(a), weights(b), coord_scale**q, weight_scale
+    return cost, supply, demand, coord_scale**q, weight_scale
 
 
 @dataclass(frozen=True)
@@ -244,18 +285,27 @@ def _certificate_failure(cost, supply, demand, solution):
     (total, flows, u, v) is optimal iff the flows are feasible (x >= 0,
     row and column sums equal to supply and demand), the potentials are
     dual feasible (c_ij - u_i - v_j >= 0 on every cell) and the two
-    objectives meet: total == sum c*x == sum u*a + sum v*b.  All checks
-    are exact and take O(m*n).
+    objectives meet: total == sum c*x == sum u*a + sum v*b.  One walk
+    over the flows checks their signs and sums their margins and sum
+    c*x; the clauses are then decided in that order.  All checks are
+    exact and take O(m*n).
     """
     total, flows, u, v = solution
     m, n = len(supply), len(demand)
-    if any(x < 0 for x in flows.values()) or _margins(flows, m, n) != (supply, demand):
+    row, col = [0] * m, [0] * n
+    primal = 0
+    for (i, j), x in flows.items():
+        if x < 0:
+            return "primal feasibility"
+        row[i] += x
+        col[j] += x
+        primal += cost[i][j] * x
+    if row != supply or col != demand:
         return "primal feasibility"
     if len(u) != m or len(v) != n or any(
-        min(map(operator.sub, row, v)) < ui for ui, row in zip(u, cost)
+        min(map(operator.sub, crow, v)) < ui for ui, crow in zip(u, cost)
     ):
         return "dual feasibility"
-    primal = sum(cost[i][j] * x for (i, j), x in flows.items())
     dual = sum(map(operator.mul, u, supply)) + sum(map(operator.mul, v, demand))
     if not total == primal == dual:
         return "strong duality"
@@ -501,7 +551,9 @@ def is_unique_optimal_plan(mu: DiscreteMeasure, nu: DiscreteMeasure, p=2) -> boo
     vertex differs from x.  Conversely, a second optimal coupling puts a
     second vertex on the optimal face, and that vertex leaves S: x is a
     vertex, so S is a forest, on which the margins fix the flows.  So
-    the minimum is 0 iff x is the only optimal coupling.
+    the minimum is 0 iff x is the only optimal coupling.  Where a side
+    has one atom the coupling polytope is a single point, and the first
+    solve, certified feasible, is that point: no probe is solved.
     """
     if not is_integer_exponent(p):
         raise ConstraintError("uniqueness detection needs an integer exponent")
@@ -510,6 +562,8 @@ def is_unique_optimal_plan(mu: DiscreteMeasure, nu: DiscreteMeasure, p=2) -> boo
         raise ConstraintError("uniqueness detection needs exact measures")
     cost, supply, demand, _, _ = _integer_instance(mu, nu, int(p))
     _, flows, u, v = _certified_solve(cost, supply, demand)
+    if len(supply) == 1 or len(demand) == 1:
+        return True
     k = sum(supply) + 1
     probe = []
     for i, (row, ui) in enumerate(zip(cost, u)):

@@ -405,7 +405,8 @@ def reproduce_w2_table() -> CheckReport:
 
 
 def _sweep_g(t: float) -> float:
-    return 2.0 + (2.0 - math.exp(-t)) / (math.exp(t) + math.exp(-t)) - 2.5
+    e = math.exp(-t)
+    return 2.0 + (2.0 - e) / (math.exp(t) + e) - 2.5
 
 
 def _sweep_roots(lo=-3.0, hi=3.0, step=1e-4) -> list:

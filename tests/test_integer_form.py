@@ -4,14 +4,15 @@ solves that must leave the forms as they were."""
 
 import math
 from fractions import Fraction
+from operator import itemgetter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from maxwass.geometry import Point2, dm
-from maxwass.measure import DiscreteMeasure, IntegerForm
-from maxwass.scalars import ConstraintError
+from maxwass.measure import DiscreteMeasure, IntegerForm, _merge_atoms, _negative_weight
+from maxwass.scalars import ConstraintError, for_message, is_exact
 from maxwass.transport import (
     _integer_instance,
     brute_force_wasserstein,
@@ -81,6 +82,148 @@ def test_integer_form_matches_the_fraction_canonical_form(atoms):
     assert mu.exact
 
 
+# the exact canonicalization as it was before one walk decided exactness
+# and read each scalar's numerator and denominator once: an exactness
+# pass, then the merge on integer keys; the constructor's checks follow
+
+
+def reference_all_exact(atoms):
+    return all(is_exact(w) and x.exact for x, w in atoms)
+
+
+def reference_merge_exact(atoms):
+    live = [(x, w) for x, w in atoms if w != 0]
+    coord_scale = math.lcm(*{c.denominator for x, _ in live for c in x})
+    weight_scale = math.lcm(*{w.denominator for _, w in live})
+    keyed = [
+        (
+            (
+                x1.numerator * (coord_scale // x1.denominator),
+                x2.numerator * (coord_scale // x2.denominator),
+            ),
+            x,
+            w,
+        )
+        for x, w in live
+        for x1, x2 in [x]
+    ]
+    keyed.sort(key=itemgetter(0))
+    kept, coords, weights = [], [], []
+    for key, x, w in keyed:
+        k = w.numerator * (weight_scale // w.denominator)
+        if k < 0:
+            raise _negative_weight(x, w)
+        if coords and coords[-1] == key:
+            kept[-1] = (kept[-1][0], kept[-1][1] + w)
+            weights[-1] += k
+        else:
+            kept.append((x, w))
+            coords.append(key)
+            weights.append(k)
+    common = math.gcd(weight_scale, *weights)
+    if common > 1:
+        weight_scale //= common
+        weights = [k // common for k in weights]
+    form = IntegerForm(coord_scale, tuple(coords), weight_scale, tuple(weights))
+    return tuple(kept), form
+
+
+def reference_canonical(atoms):
+    """(atoms, integer form or None) of the reference constructor."""
+    form = None
+    if reference_all_exact(atoms):
+        merged, form = reference_merge_exact(atoms)
+    else:
+        merged = _merge_atoms(atoms)
+        if reference_all_exact(merged):
+            merged, form = reference_merge_exact(merged)
+    if not merged:
+        raise ConstraintError("a measure needs at least one atom of positive mass")
+    if form is not None:
+        if sum(form.weights) != form.weight_scale:
+            total = Fraction(sum(form.weights), form.weight_scale)
+            raise ConstraintError(f"weights sum to {for_message(total)}, expected 1")
+    else:
+        total = sum(w for _, w in merged)
+        if all(is_exact(w) for _, w in merged):
+            if total != 1:
+                raise ConstraintError(f"weights sum to {for_message(total)}, expected 1")
+        elif abs(float(total) - 1.0) > 1e-12:
+            raise ConstraintError(f"weights sum to {float(total)!r}, expected 1")
+    return merged, form
+
+
+def outcome(build, atoms):
+    """What building from atoms gives: the canonical atoms (by repr, and
+    by which input objects they are), the integer form, or the error
+    type and message."""
+    try:
+        merged, form = build(atoms)
+    except ConstraintError as exc:
+        return type(exc), str(exc)
+    points = [id(x) for x, _ in atoms]
+    weights = [id(w) for _, w in atoms]
+
+    def source(obj, ids):
+        return ids.index(id(obj)) if id(obj) in ids else None
+
+    objects = [(source(x, points), source(w, weights)) for x, w in merged]
+    return repr(merged), objects, form
+
+
+def constructed(atoms):
+    mu = DiscreteMeasure(atoms)
+    return mu.atoms, mu.integer
+
+
+@st.composite
+def mixed_atoms(draw):
+    """Exact atoms as in exact_atoms, but at times with a negative
+    weight, weights that do not sum to 1 and an atom with a float
+    coordinate or weight: one of no mass, or a float copy of an exact
+    point that carries mass."""
+    pool = draw(st.lists(st.tuples(exact_coord, exact_coord), min_size=1, max_size=4))
+    n = draw(st.integers(1, 6))
+    points = [Point2(*draw(st.sampled_from(pool))) for _ in range(n)]
+    inexact = draw(st.sampled_from(("none", "massless point", "massless weight", "copy")))
+    parts = draw(st.lists(st.integers(0, 12), min_size=n + 1, max_size=n + 1))
+    if draw(st.integers(0, 4)) == 0:
+        parts[draw(st.integers(0, n))] *= -1
+    if inexact != "copy":
+        parts[-1] = 0
+    total = sum(parts)
+    if total > 0 and draw(st.integers(0, 3)):
+        weights = [F(r, total) for r in parts]
+    else:
+        weights = [F(r, draw(st.sampled_from((1, 4, 7)))) for r in parts]
+    weights = [
+        int(w) if w.denominator == 1 and draw(st.booleans()) else w for w in weights
+    ]
+    atoms = list(zip(points, weights))
+    if inexact != "none":
+        c1, c2 = draw(st.sampled_from(pool))
+        if inexact == "massless point":
+            atom = (Point2(float(c1), c2), F(0))
+        elif inexact == "massless weight":
+            atom = (Point2(c1, c2), 0.0)
+        else:
+            atom = (Point2(float(c1), float(c2)), weights[-1])
+        atoms.insert(draw(st.integers(0, n)), atom)
+    return atoms
+
+
+@settings(max_examples=500, deadline=None)
+@given(atoms=mixed_atoms())
+@example([(Point2(1, F(1, 2)), F(1, 2)), (Point2(1, F(1, 2)), F(1, 2))])
+@example([(Point2(F(1, 3), 0), F(1, 2)), (Point2(0.5, 0.0), F(0)), (Point2(0, 0), F(1, 2))])
+@example([(Point2(0, 0), 1), (Point2(2, 0), 0.0)])
+@example([(Point2(2, 0), F(-1, 2)), (Point2(1, 0), F(3, 2)), (Point2(0, 0), 0)])
+@example([(Point2(F(1, 2), 0), F(1, 6))] * 2 + [(Point2(0, 1), F(2, 3))])
+@example([(Point2(3, 3), F(0))])
+def test_one_walk_canonicalization_matches_the_reference(atoms):
+    assert outcome(constructed, atoms) == outcome(reference_canonical, atoms)
+
+
 def test_integer_form_only_for_exact_measures():
     assert DiscreteMeasure([(Point2(0.5, F(0)), F(1))]).integer is None
     assert DiscreteMeasure([(Point2(F(0), F(0)), 1.0)]).integer is None
@@ -141,6 +284,45 @@ def fraction_instance(mu, nu, q):
 def test_integer_instance_matches_the_fraction_instance(mu, nu, q):
     mu, nu = DiscreteMeasure(mu), DiscreteMeasure(nu)
     assert _integer_instance(mu, nu, q) == fraction_instance(mu, nu, q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mu=exact_atoms(), nu=exact_atoms(), q=st.sampled_from((1, 2, 3)))
+# a Dirac against two atoms at the same coordinate and weight scales;
+# two atoms against one at other scales
+@example(
+    mu=[(Point2(F(1, 2), 0), F(1))],
+    nu=[(Point2(0, F(1, 2)), F(1, 2)), (Point2(1, 0), F(1, 2))],
+    q=2,
+)
+@example(
+    mu=[(Point2(F(1, 4), 0), F(1, 3)), (Point2(1, 0), F(2, 3))],
+    nu=[(Point2(0, F(1, 2)), 1)],
+    q=1,
+)
+def test_integer_instance_returns_fresh_lists(mu, nu, q):
+    """The certificate compares margins with supply and demand as lists,
+    so a tuple there would fail every solve.  Each call builds new
+    ones, cost rows included: editing every list of one call changes
+    neither the measures' forms nor the next call."""
+    mu, nu = DiscreteMeasure(mu), DiscreteMeasure(nu)
+    forms = (mu.integer, nu.integer)
+    cost, supply, demand, _, _ = first = _integer_instance(mu, nu, q)
+    second = _integer_instance(mu, nu, q)
+    assert type(cost) is list and all(type(row) is list for row in cost)
+    assert type(supply) is list and type(demand) is list
+    fresh = [cost, supply, demand, *cost]
+    again = [*second[:3], *second[0]]
+    assert all(a is not b for a, b in zip(fresh, again))
+    for row in cost:
+        row[0] += 1
+        row.append(0)
+    supply[0] += 1
+    demand[-1] -= 1
+    demand.append(1)
+    assert first[:3] != second[:3]
+    assert (mu.integer, nu.integer) == forms
+    assert _integer_instance(mu, nu, q) == second == fraction_instance(mu, nu, q)
 
 
 @settings(max_examples=100, deadline=None)

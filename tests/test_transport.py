@@ -692,6 +692,41 @@ def test_certificate_rejects_objectives_that_do_not_meet(monkeypatch, wrong):
     assert_every_solve_raises(mu, nu, "strong duality")
 
 
+def test_certificate_reports_the_first_clause_a_solution_fails():
+    """Each edit alone breaks one clause.  A flow one unit up, a flow
+    moved within its column (rows off) or within its row (columns off),
+    or a unit cycle that keeps every margin but makes two flows negative
+    breaks primal feasibility; u_0 + 1 and u_1 - 1 break dual
+    feasibility, and a total one too high strong duality.  Together,
+    the first clause of primal feasibility, dual feasibility and strong
+    duality is reported, though the solution fails the later ones as
+    well."""
+    mu, nu = line_pair((0, 4), (1, 5))
+    cost, supply, demand, _, _ = _integer_instance(mu, nu, 1)
+    total, flows, u, v = solve_transportation(cost, supply, demand, 0)
+
+    def failure(solution):
+        return transport._certificate_failure(cost, supply, demand, solution)
+
+    assert failure((total, flows, u, v)) is None
+    assert flows == {(0, 0): 1, (1, 1): 1}
+    up = {**flows, (0, 0): 2}
+    rows_off = {(1, 0): 1, (1, 1): 1}
+    columns_off = {(0, 0): 1, (1, 0): 1}
+    negative = {(0, 0): 2, (0, 1): -1, (1, 0): -1, (1, 1): 2}
+    skewed = [u[0] + 1, u[1] - 1]
+    infeasible = (up, rows_off, columns_off, negative)
+    for broken in infeasible:
+        assert failure((total, broken, u, v)) == "primal feasibility"
+    assert failure((total, flows, skewed, v)) == "dual feasibility"
+    assert failure((total + 1, flows, u, v)) == "strong duality"
+    for broken in infeasible:
+        assert failure((total + 1, broken, skewed, v)) == "primal feasibility"
+        assert failure((total, broken, skewed, v)) == "primal feasibility"
+        assert failure((total + 1, broken, u, v)) == "primal feasibility"
+    assert failure((total + 1, flows, skewed, v)) == "dual feasibility"
+
+
 def test_certificate_checks_the_uniqueness_probe(monkeypatch):
     """Both couplings of the line pair cost 4.  A second solve that
     returns the first plan at cost 0 with zero potentials claims that
