@@ -30,10 +30,11 @@ when it is the only coupling.  Otherwise the simplex's final potentials
 u, v are checked in ints against its flows x (x >= 0 with the exact
 margins, c - u_i - v_j >= 0 on every cell, and sum c*x == sum u*a +
 sum v*b), which proves the vertex optimal without trusting the pivot
-path; one walk over the flows checks their signs and sums both their
-margins and sum c*x, and the clauses are decided in that order.  A failed certificate raises RuntimeError.  A solve returns the
-power and its vertex at the scale it ran on: integer flows and costs
-with their scales on exact problems.  Only `wasserstein` and the plan
+path.  One walk over the flows checks their signs and sums both their
+margins and sum c*x, and the three clauses are decided in that order.
+A failed certificate raises RuntimeError.  A solve returns the power
+and its vertex at the scale it ran on: integer flows and costs with
+their scales on exact problems.  Only `wasserstein` and the plan
 outputs of the CLI divide them into a `TransportPlan`, so
 `wasserstein_pow` builds no plan and no Fraction per cell; such an
 exact plan is certified already and skips the plan's own checks.
@@ -83,7 +84,7 @@ def _require_valid_p(p):
 
 
 def _is_exact_problem(mu: DiscreteMeasure, nu: DiscreteMeasure, p) -> bool:
-    # the integer forms themselves, not the `exact` property over them
+    # the forms directly: the `exact` property would cost a call per measure
     return mu.integer is not None and nu.integer is not None and is_integer_exponent(p)
 
 
