@@ -93,10 +93,6 @@ class IntegerForm(NamedTuple):
     weights: tuple[int, ...]
 
 
-#: the types `is_exact` accepts, tested by identity before the call
-_EXACT_TYPES = frozenset((int, Fraction))
-
-
 def _merge_exact(atoms: Iterable[Atom]) -> tuple[tuple[Atom, ...], IntegerForm] | None:
     """_merge_atoms for atoms whose coordinates and weights are all exact,
     sorting and merging on integer keys, with the integer form of the
@@ -110,11 +106,7 @@ def _merge_exact(atoms: Iterable[Atom]) -> tuple[tuple[Atom, ...], IntegerForm] 
     coord_dens, weight_dens = set(), set()
     for x, w in atoms:
         x1, x2 = x
-        if (
-            type(x1) not in _EXACT_TYPES and not is_exact(x1)
-            or type(x2) not in _EXACT_TYPES and not is_exact(x2)
-            or type(w) not in _EXACT_TYPES and not is_exact(w)
-        ):
+        if not (is_exact(x1) and is_exact(x2) and is_exact(w)):
             return None
         wn, wd = w.as_integer_ratio()
         if not wn:
@@ -139,26 +131,21 @@ def _merge_exact(atoms: Iterable[Atom]) -> tuple[tuple[Atom, ...], IntegerForm] 
     # stable: atoms at one point keep their input order, as in _merge_atoms
     keyed.sort(key=itemgetter(0))
     kept, coords, weights = [], [], []
-    merged = False
     for key, k, x, w in keyed:
         if k < 0:
             raise _negative_weight(x, w)
         if coords and coords[-1] == key:
             kept[-1] = (kept[-1][0], kept[-1][1] + w)
             weights[-1] += k
-            merged = True
         else:
             kept.append((x, w))
             coords.append(key)
             weights.append(k)
-    # merged weights may share a factor with the scale: 1/6 + 1/6 is 1/3.
-    # Unmerged ones do not: a prime's highest power in the scale divides
-    # some weight's denominator, and that weight's numerator is prime to it
-    if merged:
-        common = math.gcd(weight_scale, *weights)
-        if common > 1:
-            weight_scale //= common
-            weights = [k // common for k in weights]
+    # merged weights may share a factor with the scale: 1/6 + 1/6 is 1/3
+    common = math.gcd(weight_scale, *weights)
+    if common > 1:
+        weight_scale //= common
+        weights = [k // common for k in weights]
     form = IntegerForm(coord_scale, tuple(coords), weight_scale, tuple(weights))
     return tuple(kept), form
 

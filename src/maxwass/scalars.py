@@ -36,8 +36,14 @@ def for_message(v, form=str) -> str:
         return "a number of more digits than Python prints"
 
 
+#: the exact types themselves, tested by identity before any isinstance
+_EXACT_TYPES = frozenset((int, Fraction))
+
+
 def is_exact(v: Scalar) -> bool:
-    return isinstance(v, (int, Fraction)) and not isinstance(v, bool)
+    return type(v) in _EXACT_TYPES or (
+        isinstance(v, (int, Fraction)) and not isinstance(v, bool)
+    )
 
 
 def to_exact(v) -> Fraction:

@@ -14,9 +14,8 @@ Two independent routes compute it:
 Exact problems reach both routes through `_integer_instance`, which
 rescales the two measures' integer forms (`measure.IntegerForm`) to
 common coordinate and weight scales, reading a side that is at the
-common scale already as it is and building a one-atom side's single
-row or column as one list; each route divides by the scales once at
-the end.  Only that input is shared, never the search,
+common scale already as it is; each route divides by the scales once
+at the end.  Only that input is shared, never the search,
 so agreement between the two is a real check and is enforced wholesale
 by the acceptance suite.  Measures and plans fix their exactness when
 they are built, and every later decision reads that flag.
@@ -84,8 +83,7 @@ def _require_valid_p(p):
 
 
 def _is_exact_problem(mu: DiscreteMeasure, nu: DiscreteMeasure, p) -> bool:
-    # the forms directly: the `exact` property would cost a call per measure
-    return mu.integer is not None and nu.integer is not None and is_integer_exponent(p)
+    return mu.exact and nu.exact and is_integer_exponent(p)
 
 
 def _cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, fp: float):
@@ -118,11 +116,9 @@ def _integer_instance(mu: DiscreteMeasure, nu: DiscreteMeasure, q: int):
     so a caller may edit them and the forms stay as they were; the
     certificate compares margins with supply and demand as lists.
     Positive scaling keeps the sign of every comparison, so the optimal
-    vertices are those of the rational instance.  The largest dm is
-    taken from the rows as they are built, and a ConstraintError is
+    vertices are those of the rational instance.  A ConstraintError is
     raised before any power is taken when dm^q or L^q would exceed
-    _MAX_COST_BITS bits.  A one-atom side's single row or column is
-    built, bounded and powered as one list.
+    _MAX_COST_BITS bits.
     """
     a, b = mu.integer, nu.integer
     xs, ys = a.coords, b.coords
@@ -145,36 +141,13 @@ def _integer_instance(mu: DiscreteMeasure, nu: DiscreteMeasure, q: int):
         if weight_scale != b.weight_scale:
             k = weight_scale // b.weight_scale
             demand = [w * k for w in demand]
-    line = None
-    if len(xs) == 1:
-        # a one-atom side: its single row or column as one flat list,
-        # powered and shaped below
-        ((x1, x2),) = xs
-        line = [max(abs(x1 - y1), abs(x2 - y2)) for y1, y2 in ys]
-    elif len(ys) == 1:
-        ((y1, y2),) = ys
-        line = [max(abs(x1 - y1), abs(x2 - y2)) for x1, x2 in xs]
-    if line is not None:
-        top = max(line)
-    else:
-        cost = []
-        top = 0
-        for x1, x2 in xs:
-            row = [max(abs(x1 - y1), abs(x2 - y2)) for y1, y2 in ys]
-            cost.append(row)
-            row_top = max(row)
-            if row_top > top:
-                top = row_top
+    cost = [[max(abs(x1 - y1), abs(x2 - y2)) for y1, y2 in ys] for x1, x2 in xs]
     # b.bit_length() - 1 bits per factor is a lower bound on the size of b^q
-    if q * (max(coord_scale, top).bit_length() - 1) > _MAX_COST_BITS:
+    if q * (max(coord_scale, max(map(max, cost))).bit_length() - 1) > _MAX_COST_BITS:
         raise ConstraintError(
             f"an exact cost dm^p would exceed {_MAX_COST_BITS} bits; use a smaller p"
         )
-    if line is not None:
-        if q != 1:
-            line = [d**q for d in line]
-        cost = [line] if len(xs) == 1 else [[d] for d in line]
-    elif q != 1:
+    if q != 1:
         cost = [[d**q for d in row] for row in cost]
     return cost, supply, demand, coord_scale**q, weight_scale
 

@@ -87,8 +87,12 @@ def test_integer_form_matches_the_fraction_canonical_form(atoms):
 # pass, then the merge on integer keys; the constructor's checks follow
 
 
+def reference_is_exact(v):
+    return isinstance(v, (int, Fraction)) and not isinstance(v, bool)
+
+
 def reference_all_exact(atoms):
-    return all(is_exact(w) and x.exact for x, w in atoms)
+    return all(reference_is_exact(c) for x, w in atoms for c in (*x, w))
 
 
 def reference_merge_exact(atoms):
@@ -145,7 +149,7 @@ def reference_canonical(atoms):
             raise ConstraintError(f"weights sum to {for_message(total)}, expected 1")
     else:
         total = sum(w for _, w in merged)
-        if all(is_exact(w) for _, w in merged):
+        if all(reference_is_exact(w) for _, w in merged):
             if total != 1:
                 raise ConstraintError(f"weights sum to {for_message(total)}, expected 1")
         elif abs(float(total) - 1.0) > 1e-12:
@@ -222,6 +226,23 @@ def mixed_atoms(draw):
 @example([(Point2(3, 3), F(0))])
 def test_one_walk_canonicalization_matches_the_reference(atoms):
     assert outcome(constructed, atoms) == outcome(reference_canonical, atoms)
+
+
+class Count(int):
+    pass
+
+
+class Ratio(Fraction):
+    pass
+
+
+@pytest.mark.parametrize(
+    "value",
+    [0, -3, 10**30, F(1, 3), F(4), Count(2), Ratio(1, 2), True, False, 0.5, 1.0,
+     float("nan"), "1/2", None],
+)
+def test_is_exact_accepts_ints_and_fractions_but_not_bools(value):
+    assert is_exact(value) == reference_is_exact(value)
 
 
 def test_integer_form_only_for_exact_measures():
