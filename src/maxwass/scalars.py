@@ -36,7 +36,8 @@ def for_message(v, form=str) -> str:
         return "a number of more digits than Python prints"
 
 
-#: the exact types themselves, tested by identity before any isinstance
+#: nearly every exact scalar is one of these; a type test by identity is
+#: cheaper than the isinstance checks, which still decide for subclasses
 _EXACT_TYPES = frozenset((int, Fraction))
 
 
