@@ -122,6 +122,17 @@ L_PLUS = DiagonalLine(1, 0)
 L_MINUS = DiagonalLine(-1, 0)
 
 
+def diagonal_line_through(points) -> DiagonalLine | None:
+    """The diagonal line through points[0] that carries every point, or
+    None.  Slope +1 is tried first, so a single point gets it."""
+    x0 = points[0]
+    for eps in (1, -1):
+        line = DiagonalLine(eps, x0.x2 - eps * x0.x1)
+        if all(line.contains(x) for x in points):
+            return line
+    return None
+
+
 def project_point(line: DiagonalLine, y: Point2) -> Point2:
     """Closest point of the diagonal line to y (unique in this metric).
 

@@ -32,6 +32,7 @@ from .geometry import (
     L_PLUS,
     DiagonalLine,
     Point2,
+    diagonal_line_through,
     in_square,
     outside_square,
     point_for_message,
@@ -213,12 +214,7 @@ class DiscreteMeasure:
 
     def diagonal_line(self):
         """The diagonal line carrying the whole support, or None."""
-        for eps in (1, -1):
-            x0 = self.atoms[0][0]
-            line = DiagonalLine(eps, x0.x2 - eps * x0.x1)
-            if self.supported_on(line):
-                return line
-        return None
+        return diagonal_line_through(self.points())
 
     def to_json_dict(self) -> dict:
         return {

@@ -10,6 +10,7 @@ grid in the report notes.  All randomness is seeded, so identical
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, field
@@ -19,6 +20,7 @@ from .geometry import (
     DiagonalLine,
     L_PLUS,
     Point2,
+    diagonal_line_through,
     direction_alloc,
     dm,
     midpoint_box,
@@ -64,16 +66,6 @@ class CheckReport:
         if value > self.max_residual:
             self.max_residual = value
 
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "instances": self.instances,
-            "failures": [repr(f) for f in self.failures],
-            "max_residual": self.max_residual,
-            "notes": list(self.notes),
-            "passed": self.passed,
-        }
-
 
 # ---------------------------------------------------------------------------
 # candidate grids for the converse (forcing) searches
@@ -113,6 +105,10 @@ def _non_codiag_pair(points_a, points_b):
     return None
 
 
+def _midpoint(x: Point2, y: Point2) -> Point2:
+    return Point2(halve(x.x1 + y.x1), halve(x.x2 + y.x2))
+
+
 # ---------------------------------------------------------------------------
 # characterization checkers
 
@@ -148,8 +144,7 @@ def check_diag_support_char(mu: DiscreteMeasure, nu_samples) -> CheckReport:
         raise ConstraintError(
             "converse check needs two non-co-diagonal support points"
         )
-    x, xp = pair
-    y = Point2(halve(x.x1 + xp.x1), halve(x.x2 + xp.x2))
+    y = _midpoint(*pair)
     nu = DiscreteMeasure.dirac(y)
     d_mn = wasserstein_pow(mu, nu, 1)
     report.notes.append(_eta_grid_note(1))
@@ -180,13 +175,7 @@ def check_same_diag_char(mu1, mu2, nu_samples) -> CheckReport:
 
     # a Dirac lies on one line of each slope, so test for a shared line
     # directly rather than comparing per-measure lines
-    common = None
-    x0 = mu1.points()[0]
-    for eps in (1, -1):
-        cand = DiagonalLine(eps, x0.x2 - eps * x0.x1)
-        if mu1.supported_on(cand) and mu2.supported_on(cand):
-            common = cand
-            break
+    common = diagonal_line_through(mu1.points() + mu2.points())
 
     if common is not None:
         for nu in nu_samples:
@@ -209,8 +198,7 @@ def check_same_diag_char(mu1, mu2, nu_samples) -> CheckReport:
         raise ConstraintError(
             "converse check needs non-co-diagonal support points across the measures"
         )
-    x1, x2 = pair
-    y = Point2(halve(x1.x1 + x2.x1), halve(x1.x2 + x2.x2))
+    y = _midpoint(*pair)
     nu = DiscreteMeasure.dirac(y)
     d1n = wasserstein_pow(mu1, nu, 1)
     d2n = wasserstein_pow(mu2, nu, 1)
@@ -289,7 +277,7 @@ def check_unique_geodesic(x: Point2, mu: DiscreteMeasure, p=2) -> CheckReport:
     delta = DiscreteMeasure.dirac(x)
     on_diag = all(same_diagonal(x, yi) for yi in mu.points())
     unique = is_unique_optimal_plan(delta, mu, p)
-    if on_diag != (unique and on_diag):
+    if on_diag and not unique:
         report.fail(kind="equivalence", x=tuple(x), mu=mu.atoms)
         return report
 
@@ -317,7 +305,7 @@ def check_unique_geodesic(x: Point2, mu: DiscreteMeasure, p=2) -> CheckReport:
                 if yi == off:
                     mids.append((corner, w))
                 else:
-                    mids.append((Point2(halve(x.x1 + yi.x1), halve(x.x2 + yi.x2)), w))
+                    mids.append((_midpoint(x, yi), w))
             etas.append(DiscreteMeasure(mids))
         if etas[0] == etas[1]:
             report.fail(kind="witnesses-collide")
@@ -386,7 +374,7 @@ def reproduce_w2_table() -> CheckReport:
         "but 13/8 != 61/40 at delta_(-1/2,0) rules it out"
     )
 
-    roots = _sweep_roots()
+    roots = list(_sweep_roots())
     report.count()
     expected_roots = (0.0, math.log(3.0))
     residual = 0.0
@@ -409,7 +397,12 @@ def _sweep_g(t: float) -> float:
     return 2.0 + (2.0 - e) / (math.exp(t) + e) - 2.5
 
 
-def _sweep_roots(lo=-3.0, hi=3.0, step=1e-4) -> list:
+@functools.cache
+def _sweep_roots() -> tuple:
+    """Roots of the formula = 5/2 over [-3, 3]: a step-1e-4 grid, each
+    sign change bisected to 1e-13.  It takes no seed, so a process
+    computes it once."""
+    lo, hi, step = -3.0, 3.0, 1e-4
     roots = []
     steps = int(round((hi - lo) / step))
     prev_t, prev_g = lo, _sweep_g(lo)
@@ -438,7 +431,7 @@ def _sweep_roots(lo=-3.0, hi=3.0, step=1e-4) -> list:
     for r in roots:
         if not merged or abs(r - merged[-1]) > 1e-9:
             merged.append(r)
-    return merged
+    return tuple(merged)
 
 
 # ---------------------------------------------------------------------------
@@ -580,12 +573,30 @@ def check_corner_interval(alpha, beta) -> CheckReport:
 # ---------------------------------------------------------------------------
 # seeded instance generators
 
-def _rand_fraction(rng, lo: int, hi: int, denom: int = 8) -> Fraction:
-    return Fraction(rng.randint(lo * denom, hi * denom), denom)
+def _rand_fraction(rng, lo: int, hi: int) -> Fraction:
+    """A multiple of 1/8 in [lo, hi]."""
+    return Fraction(rng.randint(lo * 8, hi * 8), 8)
 
 
-def _rand_point(rng, box: int = 3, denom: int = 8) -> Point2:
-    return Point2(_rand_fraction(rng, -box, box, denom), _rand_fraction(rng, -box, box, denom))
+def _rand_point(rng, box: int = 3) -> Point2:
+    return Point2(_rand_fraction(rng, -box, box), _rand_fraction(rng, -box, box))
+
+
+def _rand_line(rng) -> DiagonalLine:
+    eps = rng.choice((1, -1))
+    return DiagonalLine(eps, _rand_fraction(rng, -2, 2))
+
+
+def _cross_point(rng, x: Point2) -> Point2:
+    """A point on one of the two diagonal lines through x."""
+    eps = rng.choice((1, -1))
+    t = _rand_fraction(rng, -2, 2)
+    return Point2(x.x1 + t, x.x2 + eps * t)
+
+
+def _interior_point(rng) -> Point2:
+    """A point of the open square (-1, 1)^2 on the 1/8 grid."""
+    return Point2(Fraction(rng.randint(-7, 7), 8), Fraction(rng.randint(-7, 7), 8))
 
 
 def _rand_weights(rng, n: int):
@@ -594,29 +605,34 @@ def _rand_weights(rng, n: int):
     return [Fraction(k, total) for k in parts]
 
 
-def rand_measure(rng, max_atoms: int = 5, box: int = 3, denom: int = 8) -> DiscreteMeasure:
+def _distinct(draw, n: int) -> list:
+    """The first n distinct values of repeated draw() calls, in order."""
+    out = []
+    while len(out) < n:
+        value = draw()
+        if value not in out:
+            out.append(value)
+    return out
+
+
+def _weighted(rng, points) -> DiscreteMeasure:
+    """A measure on the given distinct points with _rand_weights drawn last."""
+    return DiscreteMeasure(list(zip(points, _rand_weights(rng, len(points)))))
+
+
+def rand_measure(rng, max_atoms: int = 5, box: int = 3) -> DiscreteMeasure:
     n = rng.randint(1, max_atoms)
-    pts = []
-    while len(pts) < n:
-        cand = _rand_point(rng, box, denom)
-        if cand not in pts:
-            pts.append(cand)
-    return DiscreteMeasure(list(zip(pts, _rand_weights(rng, n))))
+    return _weighted(rng, _distinct(lambda: _rand_point(rng, box), n))
 
 
-def rand_measure_on_line(rng, line: DiagonalLine, max_atoms: int = 4, box: int = 3) -> DiscreteMeasure:
-    n = rng.randint(1, max_atoms)
-    ts = []
-    while len(ts) < n:
-        t = _rand_fraction(rng, -box, box)
-        if t not in ts:
-            ts.append(t)
-    return DiscreteMeasure([(line.point_at(t), w) for t, w in zip(ts, _rand_weights(rng, n))])
+def rand_measure_on_line(rng, line: DiagonalLine) -> DiscreteMeasure:
+    n = rng.randint(1, 4)
+    return _weighted(rng, _distinct(lambda: line.point_at(_rand_fraction(rng, -3, 3)), n))
 
 
-def _rand_nondiagonal_measure(rng, max_atoms: int = 4, box: int = 3) -> DiscreteMeasure:
+def _rand_nondiagonal_measure(rng) -> DiscreteMeasure:
     while True:
-        mu = rand_measure(rng, max_atoms, box)
+        mu = rand_measure(rng, 4)
         if mu.support_size >= 2 and mu.diagonal_line() is None:
             if _non_codiag_pair(mu.points(), mu.points()):
                 return mu
@@ -633,8 +649,7 @@ def _suite_diag_char(seed: int) -> list:
     rng = _rng("diag-char", seed)
     reports = []
     for _ in range(50):
-        eps = rng.choice((1, -1))
-        line = DiagonalLine(eps, _rand_fraction(rng, -2, 2))
+        line = _rand_line(rng)
         mu = rand_measure_on_line(rng, line)
         nus = [rand_measure(rng, 4) for _ in range(2)]
         reports.append(check_diag_support_char(mu, nus))
@@ -648,8 +663,7 @@ def _suite_same_diag(seed: int) -> list:
     rng = _rng("same-diag", seed)
     reports = []
     for _ in range(50):
-        eps = rng.choice((1, -1))
-        line = DiagonalLine(eps, _rand_fraction(rng, -2, 2))
+        line = _rand_line(rng)
         mu1 = rand_measure_on_line(rng, line)
         mu2 = rand_measure_on_line(rng, line)
         nus = [rand_measure(rng, 3) for _ in range(2)]
@@ -696,15 +710,8 @@ def _suite_unique_geodesic(seed: int) -> list:
         x = _rand_point(rng)
         if k % 2 == 0:
             # support glued to the diagonal cross through x
-            atoms = []
             n = rng.randint(1, 4)
-            while len(atoms) < n:
-                eps = rng.choice((1, -1))
-                t = _rand_fraction(rng, -2, 2)
-                cand = Point2(x.x1 + t, x.x2 + eps * t)
-                if cand not in atoms:
-                    atoms.append(cand)
-            mu = DiscreteMeasure(list(zip(atoms, _rand_weights(rng, n))))
+            mu = _weighted(rng, _distinct(lambda: _cross_point(rng, x), n))
         else:
             mu = rand_measure(rng, 4)
         reports.append(check_unique_geodesic(x, mu, p))
@@ -746,13 +753,9 @@ def _suite_q_sides(seed: int) -> list:
         n1, n2 = rng.randint(1, 3), rng.randint(1, 3)
 
         def side_measure(value, count):
-            pts = []
-            while len(pts) < count:
-                t = _rand_fraction(rng, -1, 1)
-                cand = Point2(value, t) if coord == 0 else Point2(t, value)
-                if cand not in pts:
-                    pts.append(cand)
-            return DiscreteMeasure(list(zip(pts, _rand_weights(rng, count))))
+            ts = _distinct(lambda: _rand_fraction(rng, -1, 1), count)
+            pts = [Point2(value, t) if coord == 0 else Point2(t, value) for t in ts]
+            return _weighted(rng, pts)
 
         reports.append(check_opposite_sides(side_measure(-one, n1), side_measure(one, n2), p))
     for k in range(30):
@@ -761,14 +764,7 @@ def _suite_q_sides(seed: int) -> list:
         n1, n2 = rng.randint(1, 3), rng.randint(1, 3)
 
         def interior_measure(count):
-            pts = []
-            while len(pts) < count:
-                cand = Point2(
-                    Fraction(rng.randint(-7, 7), 8), Fraction(rng.randint(-7, 7), 8)
-                )
-                if cand not in pts:
-                    pts.append(cand)
-            return DiscreteMeasure(list(zip(pts, _rand_weights(rng, count))))
+            return _weighted(rng, _distinct(lambda: _interior_point(rng), count))
 
         reports.append(check_opposite_sides(interior_measure(n1), interior_measure(n2), p))
     for k in range(20):
@@ -785,14 +781,8 @@ def _suite_q_saturation(seed: int) -> list:
     for k in range(50):
         if k % 2 == 0:
             n = rng.randint(1, 4)
-            ts = []
-            while len(ts) < n:
-                t = _rand_fraction(rng, -1, 1)
-                if t not in ts:
-                    ts.append(t)
-            mu = DiscreteMeasure(
-                [(Point2(t, t), w) for t, w in zip(ts, _rand_weights(rng, n))]
-            )
+            ts = _distinct(lambda: _rand_fraction(rng, -1, 1), n)
+            mu = _weighted(rng, [Point2(t, t) for t in ts])
         else:
             mu = rand_measure(rng, 4, box=1)
         reports.append(check_diag_saturation(mu))
@@ -805,11 +795,7 @@ def _suite_q_functional(seed: int) -> list:
     for p in (2, 3):
         for _ in range(10):
             n = rng.randint(1, 3)
-            ts = []
-            while len(ts) < n:
-                t = Fraction(rng.randint(0, 8), 8)
-                if t not in ts:
-                    ts.append(t)
+            ts = _distinct(lambda: Fraction(rng.randint(0, 8), 8), n)
             weights = _rand_weights(rng, n)
             mu = DiscreteMeasure([(Point2(t, t), w) for t, w in zip(ts, weights)])
             nus = []

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxwass.geometry import DiagonalLine, L_MINUS, L_PLUS, Point2
+from maxwass.geometry import DiagonalLine, L_MINUS, L_PLUS, Point2, diagonal_line_through
 from maxwass.measure import (
     DiscreteMeasure,
     GridMeasure,
@@ -211,6 +211,22 @@ def test_diagonal_line_detection():
         [(Point2(F(0), F(0)), F(1, 2)), (Point2(F(2), F(1)), F(1, 2))]
     )
     assert off.diagonal_line() is None
+
+
+@pytest.mark.parametrize(
+    "points, want",
+    [
+        ([(1, 2)], DiagonalLine(1, 1)),
+        ([(0, 1), (2, -1), (-1, 2)], DiagonalLine(-1, 1)),
+        ([(0, 0), (2, 1)], None),
+    ],
+    ids=["single-point-slope-plus", "slope-minus", "no-line"],
+)
+def test_diagonal_line_through(points, want):
+    pts = tuple(Point2(F(a), F(b)) for a, b in points)
+    assert diagonal_line_through(pts) == want
+    mu = DiscreteMeasure([(x, F(1, len(pts))) for x in pts])
+    assert mu.diagonal_line() == want
 
 
 def test_float_measures_not_exact():
