@@ -32,7 +32,6 @@ from .measure import (
 from .scalars import ConstraintError, ParseError
 from .transport import (
     TransportPlan,
-    active_kernel,
     brute_force_wasserstein,
     is_unique_optimal_plan,
     wasserstein,

@@ -29,7 +29,7 @@ import sys
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
-from .geometry import DiagonalLine, Point2
+from .geometry import DiagonalLine, Point2, require_in_square
 from .measure import DiscreteMeasure, GridMeasure
 from .scalars import (
     ConstraintError,
@@ -123,16 +123,25 @@ def _exactify(mu: DiscreteMeasure) -> DiscreteMeasure:
     )
 
 
+def _in_mode(mu: DiscreteMeasure, args) -> DiscreteMeasure:
+    """mu, or in square mode a ConstraintError naming its first atom
+    outside Q = [-1,1]^2.  Every measure a command reads or prints
+    passes here, before any of it is printed."""
+    if args.mode == "square":
+        for x, _ in mu.atoms:
+            require_in_square(x, "atom")
+    return mu
+
+
 def _gather_measures(args, expected: int, exact: bool):
     """Measure slots fill from --dirac occurrences first, then files."""
-    square = args.mode == "square"
     measures = [
-        DiscreteMeasure.dirac(_parse_point(text), square_mode=square)
+        _in_mode(DiscreteMeasure.dirac(_parse_point(text)), args)
         for text in args.dirac or []
     ]
     for path in args.measures:
         data = _load_json(path)
-        measures.append(DiscreteMeasure.from_json_dict(data, square_mode=square))
+        measures.append(_in_mode(DiscreteMeasure.from_json_dict(data), args))
     if len(measures) != expected:
         raise ParseError(
             f"expected {expected} measure(s) via files or --dirac, got {len(measures)}"
@@ -166,8 +175,7 @@ def _measure_rows(mu: DiscreteMeasure):
 
 def _emit_measure(mu: DiscreteMeasure, args) -> None:
     """Print mu in args.format; in square mode, fail unless it lies in Q."""
-    if args.mode == "square":
-        mu = DiscreteMeasure(mu.atoms, square_mode=True)
+    _in_mode(mu, args)
 
     def lines():
         if args.format == "json":
@@ -271,12 +279,14 @@ def cmd_project(args) -> int:
 def cmd_radon(args) -> int:
     (mu,) = _gather_measures(args, 1, args.exact)
     image = radon(mu)
+    components = (("plus", image.plus), ("minus", image.minus))
+    for _, component in components:
+        _in_mode(component, args)
 
     def lines():
         if args.format == "json":
             yield _json_text(image.to_json_dict())
         else:
-            components = (("plus", image.plus), ("minus", image.minus))
             yield from _labeled_lines("component", components, args.format)
 
     _emit_lines(lines)
@@ -304,7 +314,7 @@ def cmd_symmetric(args) -> int:
     else:
         center = _parse_point(args.center)
         (nu,) = _gather_measures(args, 1, args.exact)
-        eta = symmetric_wp(center, nu, p, square_mode=args.mode == "square")
+        eta = symmetric_wp(center, nu, p)
     _emit_measure(eta, args)
     return 0
 
@@ -323,6 +333,13 @@ def cmd_perturb(args) -> int:
     triple = grid_perturbation(
         mu, xi, a, x_prime, offset_denominator=args.grid_resolution
     )
+    measures = (
+        ("mu_prime", triple.mu_prime),
+        ("nu1_prime", triple.nu1_prime),
+        ("nu2_prime", triple.nu2_prime),
+    )
+    for _, measure in measures:
+        _in_mode(measure, args)
 
     def lines():
         if args.format == "json":
@@ -332,15 +349,7 @@ def cmd_perturb(args) -> int:
             yield f"moved mass a = {scalar_to_json(triple.a)}"
             yield f"offset c0 = {scalar_to_json(triple.c0)}"
             yield f"x_prime = ({scalar_to_json(triple.x_prime.x1)}, {scalar_to_json(triple.x_prime.x2)})"
-        yield from _labeled_lines(
-            "measure",
-            (
-                ("mu_prime", triple.mu_prime),
-                ("nu1_prime", triple.nu1_prime),
-                ("nu2_prime", triple.nu2_prime),
-            ),
-            args.format,
-        )
+        yield from _labeled_lines("measure", measures, args.format)
 
     _emit_lines(lines)
     return 0

@@ -8,9 +8,10 @@ points are joined by unique geodesics, and projection onto them hits
 the corner of the growing ball, hence is single-valued.
 
 Everything here works unchanged for exact (int / Fraction) and float
-coordinates.  Operations that accept ``square_mode=True`` additionally
-enforce that all points stay inside Q = [-1, 1]^2 and raise
-ConstraintError when they would not.
+coordinates.  Only apply_isometry takes ``square_mode=True``: it then
+allows the symmetries of Q = [-1, 1]^2 alone, with no shift, and raises
+ConstraintError for an image point outside Q.  The command line holds
+every other measure to Q in its square mode.
 """
 
 from __future__ import annotations
@@ -66,19 +67,15 @@ def in_square(x: Point2) -> bool:
     return -1 <= x.x1 <= 1 and -1 <= x.x2 <= 1
 
 
-def require_in_square(x: Point2, what: str = "point"):
+def require_in_square(x: Point2, what: str):
+    """A ConstraintError naming `what` x unless x lies in [-1,1]^2."""
     if not in_square(x):
-        raise outside_square(x, what)
+        raise ConstraintError(f"{what} {point_for_message(x)} lies outside [-1,1]^2")
 
 
 def point_for_message(x: Point2) -> str:
     """The text of x in an error message."""
     return f"({for_message(x.x1)}, {for_message(x.x2)})"
-
-
-def outside_square(x: Point2, what: str) -> ConstraintError:
-    """The error for a point x outside [-1,1]^2, naming x."""
-    return ConstraintError(f"{what} {point_for_message(x)} lies outside [-1,1]^2")
 
 
 @dataclass(frozen=True)
@@ -98,16 +95,6 @@ class DiagonalLine:
     def point_at(self, t: Scalar) -> Point2:
         """The line point with first coordinate t."""
         return Point2(t, self.eps * t + self.a)
-
-    def to_json(self):
-        return {"eps": self.eps, "a": scalar_to_json(self.a)}
-
-    @classmethod
-    def from_json(cls, data) -> "DiagonalLine":
-        try:
-            return cls(int(data["eps"]), parse_scalar(data["a"]))
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"bad diagonal line {data!r}") from exc
 
     @classmethod
     def parse(cls, text: str) -> "DiagonalLine":
@@ -157,12 +144,9 @@ def direction_alloc(line: DiagonalLine, y: Point2) -> Point2:
     return Point2(line.eps, -1)
 
 
-def dilate(center: Point2, y: Point2, square_mode: bool = False) -> Point2:
+def dilate(center: Point2, y: Point2) -> Point2:
     """Dilation with ratio 2 about center: y -> center + 2*(y - center)."""
-    out = Point2(2 * y.x1 - center.x1, 2 * y.x2 - center.x2)
-    if square_mode:
-        require_in_square(out, "dilated point")
-    return out
+    return Point2(2 * y.x1 - center.x1, 2 * y.x2 - center.x2)
 
 
 def same_diagonal(x: Point2, y: Point2) -> bool:
@@ -187,14 +171,12 @@ def midpoint_box(x: Point2, y: Point2) -> tuple[Point2, Point2]:
     return lo, hi
 
 
-def triangle_saturates(x: Point2, y: Point2, z: Point2, p=1) -> bool:
+def triangle_saturates(x: Point2, y: Point2, z: Point2) -> bool:
     """True iff y sits on a geodesic from x to z: dm(x,z) = dm(x,y) + dm(y,z).
 
-    The same additive saturation is what the p > 1 characterizations use
-    pointwise, so p only gets validated here.
+    The p > 1 characterizations use the same additive saturation
+    pointwise.
     """
-    if p < 1:
-        raise ConstraintError(f"exponent must be >= 1, got {p!r}")
     return dm(x, z) == dm(x, y) + dm(y, z)
 
 

@@ -33,8 +33,7 @@ from .geometry import (
     DiagonalLine,
     Point2,
     diagonal_line_through,
-    in_square,
-    outside_square,
+    dm,
     point_for_message,
     project_point,
 )
@@ -158,7 +157,7 @@ class DiscreteMeasure:
     #: once, measures are frozen
     integer: IntegerForm | None = field(init=False, compare=False, repr=False)
 
-    def __init__(self, atoms: Iterable[Atom], square_mode: bool = False):
+    def __init__(self, atoms: Iterable[Atom]):
         atoms = list(atoms)
         canonical = _merge_exact(atoms)
         if canonical is None:
@@ -179,10 +178,6 @@ class DiscreteMeasure:
                     raise ConstraintError(f"weights sum to {for_message(total)}, expected 1")
             elif abs(float(total) - 1.0) > 1e-12:
                 raise ConstraintError(f"weights sum to {float(total)!r}, expected 1")
-        if square_mode:
-            for x, _ in merged:
-                if not in_square(x):
-                    raise outside_square(x, "atom")
         object.__setattr__(self, "atoms", merged)
         object.__setattr__(self, "integer", form)
 
@@ -192,8 +187,8 @@ class DiscreteMeasure:
         return self.integer is not None
 
     @classmethod
-    def dirac(cls, x: Point2, square_mode: bool = False) -> "DiscreteMeasure":
-        return cls([(x, Fraction(1))], square_mode=square_mode)
+    def dirac(cls, x: Point2) -> "DiscreteMeasure":
+        return cls([(x, Fraction(1))])
 
     def points(self) -> tuple[Point2, ...]:
         return tuple(x for x, _ in self.atoms)
@@ -224,7 +219,7 @@ class DiscreteMeasure:
         }
 
     @classmethod
-    def from_json_dict(cls, data, square_mode: bool = False) -> "DiscreteMeasure":
+    def from_json_dict(cls, data) -> "DiscreteMeasure":
         if not isinstance(data, dict) or not isinstance(data.get("atoms"), list):
             raise ParseError("measure JSON must be an object with an 'atoms' array")
         atoms = []
@@ -235,7 +230,7 @@ class DiscreteMeasure:
             except (KeyError, TypeError) as exc:
                 raise ParseError(f"bad atom entry {entry!r}") from exc
             atoms.append((x, w))
-        return cls(atoms, square_mode=square_mode)
+        return cls(atoms)
 
 
 def push_forward(
@@ -416,8 +411,6 @@ class GridMeasure:
         """Smallest pairwise distance between grid points."""
         z = self.grid_points()
         flat = [p for row in z for p in row]
-        from .geometry import dm
-
         gaps = [
             dm(a, b)
             for k, a in enumerate(flat)

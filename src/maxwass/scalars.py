@@ -53,15 +53,9 @@ def to_exact(v) -> Fraction:
     Floats convert through their shortest decimal repr, so 0.1 becomes
     1/10 rather than the underlying binary fraction.
     """
-    if isinstance(v, bool):
-        raise ParseError("booleans are not scalars")
-    if isinstance(v, (int, Fraction)):
-        return Fraction(v)
     if isinstance(v, float):
         return Fraction(Decimal(repr(_finite(v))))
-    if isinstance(v, str):
-        return _fraction_from_str(v)
-    raise ParseError(f"cannot interpret {v!r} as an exact scalar")
+    return Fraction(v)
 
 
 def _fraction_from_str(s: str) -> Fraction:

@@ -33,7 +33,7 @@ from .measure import (
     push_forward,
 )
 from .scalars import ConstraintError, ParseError, halve
-from .transport import is_unique_optimal_plan, wasserstein_pow
+from .transport import brute_force_wasserstein, is_unique_optimal_plan, wasserstein_pow
 from .wgeom import symmetric_w1, symmetric_wp
 
 
@@ -723,8 +723,6 @@ def _suite_w2_table(seed: int) -> list:
 
 
 def _suite_oracle_agreement(seed: int) -> list:
-    from .transport import brute_force_wasserstein
-
     rng = _rng("oracle-agreement", seed)
     report = CheckReport("oracle-agreement")
     ps = (1, 2, 3)

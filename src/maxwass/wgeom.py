@@ -104,14 +104,12 @@ def symmetric_w1(line: DiagonalLine, mu: DiscreteMeasure, nu: DiscreteMeasure) -
     )
 
 
-def symmetric_wp(
-    x: Point2, nu: DiscreteMeasure, p=2, square_mode: bool = False
-) -> DiscreteMeasure:
+def symmetric_wp(x: Point2, nu: DiscreteMeasure, p=2) -> DiscreteMeasure:
     """The p > 1 mirror of nu as seen from a Dirac at x: the dilation
     with ratio 2 about x, which doubles every distance to x."""
     if p <= 1:
         raise ConstraintError(f"the dilation construction needs p > 1, got {p!r}")
-    return push_forward(lambda y: dilate(x, y, square_mode=square_mode), nu)
+    return push_forward(lambda y: dilate(x, y), nu)
 
 
 def displacement_interpolation(

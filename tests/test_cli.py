@@ -7,6 +7,7 @@ import argparse
 import json
 import os
 import random
+import re
 import shlex
 import subprocess
 import sys
@@ -454,6 +455,78 @@ def test_square_mode_rejects_outside_points(measures):
     assert out.returncode == 3
     assert "error:" in out.stderr
     assert "Fraction" not in out.stderr
+
+
+_SQUARE_MEASURES = {
+    # on the boundary of Q, co-diagonal with (0,0), in general position
+    "edge.json": [(["1", "1"], "1/3"), (["1", "-1"], "2/3")],
+    # in general position, with its whole perturbation grid inside Q
+    "small.json": [(["0", "0"], "1/6"), (["1/2", "1/4"], "1/3"), (["1/4", "-1/8"], "1/2")],
+}
+
+
+def _printed_atoms(out: str, fmt: str):
+    """The (x1, x2) text of every atom a measure command printed."""
+    if fmt == "table":
+        return re.findall(r"atom \((\S+), (\S+)\)", out)
+    if fmt == "csv":
+        return [(row["x1"], row["x2"]) for row in csv.DictReader(io.StringIO(out))]
+    found = []
+
+    def walk(node):
+        if isinstance(node, dict):
+            found.extend(tuple(atom["x"]) for atom in node.get("atoms", ()))
+            for value in node.values():
+                walk(value)
+
+    walk(json.loads(out))
+    return found
+
+
+@pytest.mark.parametrize(
+    "args, outside",
+    [
+        (["project", "edge.json", "--line", "+,0"], None),
+        (["project", "edge.json", "--line", "+,2"], "(0, 2)"),
+        (["radon", "edge.json"], None),
+        (["radon", "--dirac", "1,-1"], None),
+        (["radon", "--dirac", "5/4,0"], "(5/4, 0)"),
+        (["interp", "edge.json", "--corner", "0,0", "--s", "1/2"], None),
+        (["interp", "edge.json", "--corner", "2,0", "--s", "0"], "(2, 0)"),
+        (["symmetric", "--dirac", "0,0", "--dirac", "1/4,-1/4", "--line", "+,0", "--p", "1"],
+         None),
+        (["symmetric", "--dirac", "0,0", "--dirac", "3/4,-3/4", "--line", "+,0", "--p", "1"],
+         "(3/2, -3/2)"),
+        (["symmetric", "--dirac", "1/4,1/4", "--center", "0,0"], None),
+        (["symmetric", "--dirac", "3/4,0", "--center", "0,0"], "(3/2, 0)"),
+        (["perturb", "small.json", "--a", "1/48"], None),
+        (["perturb", "edge.json", "--a", "1/48"], "(9/8, -7/8)"),
+    ],
+    ids=["project", "project-out", "radon", "radon-boundary", "radon-out", "interp",
+         "interp-out", "symmetric-line", "symmetric-line-out", "symmetric-center",
+         "symmetric-center-out", "perturb", "perturb-out"],
+)
+def test_square_mode_prints_only_atoms_in_q(args, outside, tmp_path, monkeypatch, capsys):
+    """In square mode a measure command either prints only atoms of
+    Q = [-1,1]^2, or prints nothing and exits 3 naming the first atom
+    outside Q of a measure it read or would print."""
+    for name, atoms in _SQUARE_MEASURES.items():
+        entries = [{"x": x, "w": w} for x, w in atoms]
+        (tmp_path / name).write_text(json.dumps({"atoms": entries}))
+    monkeypatch.chdir(tmp_path)
+    for fmt in ("json", "csv", "table"):
+        code = cli.main([*args, "--mode", "square", "--format", fmt])
+        out, err = capsys.readouterr()
+        if outside is None:
+            assert code == 0 and err == ""
+            atoms = _printed_atoms(out, fmt)
+            assert atoms
+            for x1, x2 in atoms:
+                assert geometry.in_square(geometry.Point2(Fraction(x1), Fraction(x2)))
+        else:
+            assert code == 3
+            assert out == ""
+            assert err == f"error: atom {outside} lies outside [-1,1]^2\n"
 
 
 @pytest.mark.parametrize(

@@ -1,14 +1,13 @@
 """Measure container tests: canonical atoms, two-point family, grids."""
 
 import math
-import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxwass.geometry import DiagonalLine, L_MINUS, L_PLUS, Point2, diagonal_line_through
+from maxwass.geometry import DiagonalLine, L_PLUS, Point2, diagonal_line_through
 from maxwass.measure import (
     DiscreteMeasure,
     GridMeasure,
@@ -54,12 +53,6 @@ def test_zero_weights_dropped_negative_rejected():
 def test_mass_must_be_one():
     with pytest.raises(ConstraintError):
         DiscreteMeasure([(Point2(F(0), F(0)), F(1, 2))])
-
-
-def test_square_mode_validation():
-    DiscreteMeasure([(Point2(F(1), F(-1)), F(1))], square_mode=True)
-    with pytest.raises(ConstraintError):
-        DiscreteMeasure([(Point2(F(5, 4), F(0)), F(1))], square_mode=True)
 
 
 def test_json_round_trip_preserves_exactness():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from draws import rand_frac, rand_measure
 from maxwass import transport
 from maxwass.geometry import Point2, dm
 from maxwass.measure import DiscreteMeasure
@@ -53,22 +54,6 @@ def cost_pow(plan, p):
     for (_, _, w), c in zip(plan.entries, cell_costs(plan, p)):
         total += c * w
     return total
-
-
-def rand_frac(rng, lo=-3, hi=3, denom=8):
-    return F(rng.randint(lo * denom, hi * denom), denom)
-
-
-def rand_measure(rng, max_atoms=4):
-    n = rng.randint(1, max_atoms)
-    pts = []
-    while len(pts) < n:
-        cand = Point2(rand_frac(rng), rand_frac(rng))
-        if cand not in pts:
-            pts.append(cand)
-    parts = [rng.randint(1, 9) for _ in range(n)]
-    total = sum(parts)
-    return DiscreteMeasure([(p, F(k, total)) for p, k in zip(pts, parts)])
 
 
 def float_measure(rng, n):
@@ -440,9 +425,7 @@ def exact_pair(draw, kind, square):
         ]
         total = sum(parts)
         measures.append(
-            DiscreteMeasure(
-                [(x, r / total) for x, r in zip(points, parts)], square_mode=square
-            )
+            DiscreteMeasure([(x, r / total) for x, r in zip(points, parts)])
         )
     return measures
 

@@ -190,14 +190,13 @@ def test_unique_geodesic_checker_both_sides():
 
 def test_opposite_sides_checker():
     left = DiscreteMeasure(
-        [(Point2(F(-1), F(0)), F(1, 2)), (Point2(F(-1), F(1, 2)), F(1, 2))],
-        square_mode=True,
+        [(Point2(F(-1), F(0)), F(1, 2)), (Point2(F(-1), F(1, 2)), F(1, 2))]
     )
-    right = DiscreteMeasure.dirac(Point2(F(1), F(-1, 4)), square_mode=True)
+    right = DiscreteMeasure.dirac(Point2(F(1), F(-1, 4)))
     report = check_opposite_sides(left, right, 2)
     assert report.passed
 
-    interior = DiscreteMeasure.dirac(Point2(F(0), F(0)), square_mode=True)
+    interior = DiscreteMeasure.dirac(Point2(F(0), F(0)))
     report2 = check_opposite_sides(interior, right, 1)
     assert report2.passed
 
@@ -206,10 +205,9 @@ def test_corner_atom_serves_two_sides():
     """A corner atom lies on two sides at once, so distance 2 can hold
     even without one common pair of opposite sides."""
     corner_mix = DiscreteMeasure(
-        [(Point2(F(-1), F(-1)), F(1, 2)), (Point2(F(1), F(-1)), F(1, 2))],
-        square_mode=True,
+        [(Point2(F(-1), F(-1)), F(1, 2)), (Point2(F(1), F(-1)), F(1, 2))]
     )
-    far = DiscreteMeasure.dirac(Point2(F(1), F(1)), square_mode=True)
+    far = DiscreteMeasure.dirac(Point2(F(1), F(1)))
     # atom (-1,-1) is on the left and bottom; atom (1,-1) on the right
     # and bottom; (1,1) faces both across some pair of sides
     report = check_opposite_sides(corner_mix, far, 2)
@@ -218,11 +216,10 @@ def test_corner_atom_serves_two_sides():
 
 def test_diag_saturation_checker():
     on_diag = DiscreteMeasure(
-        [(Point2(F(-1, 2), F(-1, 2)), F(1, 3)), (Point2(F(1, 2), F(1, 2)), F(2, 3))],
-        square_mode=True,
+        [(Point2(F(-1, 2), F(-1, 2)), F(1, 3)), (Point2(F(1, 2), F(1, 2)), F(2, 3))]
     )
     assert check_diag_saturation(on_diag).passed
-    off_diag = DiscreteMeasure.dirac(Point2(F(1, 2), F(0)), square_mode=True)
+    off_diag = DiscreteMeasure.dirac(Point2(F(1, 2), F(0)))
     assert check_diag_saturation(off_diag).passed
 
 

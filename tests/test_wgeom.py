@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from maxwass.geometry import DiagonalLine, L_MINUS, L_PLUS, Point2, dm, project_point
+from draws import rand_frac, rand_measure
+from maxwass.geometry import DiagonalLine, L_MINUS, L_PLUS, Point2
 from maxwass.measure import DiscreteMeasure, GridMeasure, in_family_F
 from maxwass.scalars import ConstraintError
 from maxwass.transport import wasserstein, wasserstein_pow
@@ -22,22 +23,6 @@ from maxwass.wgeom import (
 )
 
 F = Fraction
-
-
-def rand_frac(rng, lo=-3, hi=3, denom=8):
-    return F(rng.randint(lo * denom, hi * denom), denom)
-
-
-def rand_measure(rng, max_atoms=4):
-    n = rng.randint(1, max_atoms)
-    pts = []
-    while len(pts) < n:
-        cand = Point2(rand_frac(rng), rand_frac(rng))
-        if cand not in pts:
-            pts.append(cand)
-    parts = [rng.randint(1, 9) for _ in range(n)]
-    total = sum(parts)
-    return DiscreteMeasure([(p, F(k, total)) for p, k in zip(pts, parts)])
 
 
 def rand_family_measure(rng, max_atoms=3):
