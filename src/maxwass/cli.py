@@ -123,13 +123,19 @@ def _exactify(mu: DiscreteMeasure) -> DiscreteMeasure:
     )
 
 
-def _in_mode(mu: DiscreteMeasure, args) -> DiscreteMeasure:
-    """mu, or in square mode a ConstraintError naming its first atom
-    outside Q = [-1,1]^2.  Every measure a command reads or prints
-    passes here, before any of it is printed."""
+def _require_in_mode(points, what: str, args) -> None:
+    """In square mode, a ConstraintError naming the first of `points`
+    outside Q = [-1,1]^2 as `what`.  Every atom a command reads or
+    prints, and every point option it takes, passes here before any
+    of it is printed."""
     if args.mode == "square":
-        for x, _ in mu.atoms:
-            require_in_square(x, "atom")
+        for x in points:
+            require_in_square(x, what)
+
+
+def _in_mode(mu: DiscreteMeasure, args) -> DiscreteMeasure:
+    """mu, held to Q in square mode by `_require_in_mode`."""
+    _require_in_mode((x for x, _ in mu.atoms), "atom", args)
     return mu
 
 
@@ -296,6 +302,7 @@ def cmd_radon(args) -> int:
 def cmd_interp(args) -> int:
     (mu,) = _gather_measures(args, 1, args.exact)
     corner = _parse_point(args.corner)
+    _require_in_mode((corner,), "corner", args)
     s = _fraction_from_str(args.s)
     _emit_measure(displacement_interpolation(mu, corner, s), args)
     return 0
@@ -313,6 +320,7 @@ def cmd_symmetric(args) -> int:
         eta = symmetric_w1(line, mu, nu)
     else:
         center = _parse_point(args.center)
+        _require_in_mode((center,), "center", args)
         (nu,) = _gather_measures(args, 1, args.exact)
         eta = symmetric_wp(center, nu, p)
     _emit_measure(eta, args)

@@ -23,7 +23,7 @@ preorder: the start sets parent, flow and potential for the row or
 column each cell opens, and the first pivot reads the index off that
 order, so a solve whose starting tree is already optimal never builds
 it.  Most solves are such: over the eight short `maxwass verify`
-suites at seeds 0-2, 3,056 of 8,502 solves pivot.  The tree is kept
+suites at seeds 0-2, 3,056 of its 8,502 solves pivot.  The tree is kept
 strongly feasible (W. H. Cunningham, "A network simplex method",
 Math. Programming 11, 1976): every zero-flow tree cell points from its
 child toward the root.  Leaving by the last blocking cell of the pivot

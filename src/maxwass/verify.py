@@ -4,8 +4,10 @@ Every checker returns a CheckReport.  Equality assertions run in exact
 rational arithmetic; where a statement quantifies over *all* measures
 (the converse directions), the checker searches a declared finite grid
 of candidate measures with bounded-denominator weights and records that
-grid in the report notes.  All randomness is seeded, so identical
-(suite, seed) runs produce identical reports.
+grid in the report notes.  Those searches take exact measures: each
+candidate's distance to the Dirac at the grid's centre is read from a
+template solved once per process around the origin.  All randomness
+is seeded, so identical (suite, seed) runs produce identical reports.
 """
 
 from __future__ import annotations
@@ -78,23 +80,57 @@ def _eta_grid_note(span: int) -> str:
     )
 
 
-def _eta_candidates(y: Point2, span: int = 1):
-    step = Fraction(1, 2)
-    offsets = range(-span, span + 1)
-    pts = [
-        Point2(y.x1 + step * i, y.x2 + step * j)
-        for i in offsets
-        for j in offsets
+_ORIGIN = Point2(Fraction(0), Fraction(0))
+
+
+def _lattice(y: Point2, span: int) -> list:
+    """The points y + (i, j)/2 with |i|, |j| <= span, i major."""
+    offsets = [Fraction(i, 2) for i in range(-span, span + 1)]
+    return [Point2(y.x1 + a, y.x2 + b) for a in offsets for b in offsets]
+
+
+def _place(shape, lattice) -> DiscreteMeasure:
+    """The candidate of (grid index, weight) atoms `shape` on `lattice`."""
+    return DiscreteMeasure([(lattice[k], w) for k, w in shape])
+
+
+@functools.cache
+def _eta_template(span: int, p) -> tuple:
+    """The candidate grid around the origin as (shape, d_p^p(delta_0, eta))
+    pairs: the Diracs on the lattice, then each pair of its points with
+    weights w, 1 - w for w in {1/4, 1/2, 3/4}.  A shape is a tuple of
+    (grid index, weight) atoms on `_lattice(_ORIGIN, span)`.
+
+    dm is translation invariant, so on exact coordinates the same powers
+    are d_p^p(delta_y, eta) for the grid around any y: a process solves
+    each (span, p) grid once, at its first converse sweep."""
+    side = (2 * span + 1) ** 2
+    shapes = [((k, Fraction(1)),) for k in range(side)]
+    shapes += [
+        ((a, w), (b, 1 - w))
+        for a in range(side)
+        for b in range(a + 1, side)
+        for w in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
     ]
-    cands = [DiscreteMeasure.dirac(p) for p in pts]
-    splits = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
-    for a in range(len(pts)):
-        for b in range(a + 1, len(pts)):
-            for w in splits:
-                cands.append(
-                    DiscreteMeasure([(pts[a], w), (pts[b], 1 - w)])
-                )
-    return cands
+    lattice = _lattice(_ORIGIN, span)
+    origin = DiscreteMeasure.dirac(_ORIGIN)
+    return tuple((shape, wasserstein_pow(origin, _place(shape, lattice), p)) for shape in shapes)
+
+
+def _eta_candidates(y: Point2, span: int, p):
+    """The candidate grid around y: the lattice around y, and the
+    template's (shape, d_p^p(delta_y, eta)) pairs, whose shapes index it.
+    A sweep builds eta = `_place(shape, lattice)` only where it still has
+    to solve against it."""
+    return _lattice(y, span), _eta_template(span, p)
+
+
+def _require_exact(*measures):
+    """The converse sweeps read d_p^p(delta_y, eta) off a template solved
+    around the origin, which equals the solver's only on exact
+    coordinates."""
+    if not all(mu.exact for mu in measures):
+        raise ConstraintError("the converse check needs exact measures")
 
 
 def _non_codiag_pair(points_a, points_b):
@@ -139,6 +175,7 @@ def check_diag_support_char(mu: DiscreteMeasure, nu_samples) -> CheckReport:
                 report.bump_residual(max(abs(d_mn - d_ne), abs(d_me - 2 * d_mn)))
         return report
 
+    _require_exact(mu)
     pair = _non_codiag_pair(mu.points(), mu.points())
     if pair is None:
         raise ConstraintError(
@@ -148,9 +185,10 @@ def check_diag_support_char(mu: DiscreteMeasure, nu_samples) -> CheckReport:
     nu = DiscreteMeasure.dirac(y)
     d_mn = wasserstein_pow(mu, nu, 1)
     report.notes.append(_eta_grid_note(1))
-    for eta in _eta_candidates(y):
+    lattice, template = _eta_candidates(y, 1, 1)
+    for shape, d_ne in template:
         report.count()
-        d_ne = wasserstein_pow(nu, eta, 1)
+        eta = _place(shape, lattice)
         d_me = wasserstein_pow(mu, eta, 1)
         aligned = d_me == d_mn + d_ne
         chain = d_mn == d_ne and d_me == 2 * d_mn
@@ -193,6 +231,7 @@ def check_same_diag_char(mu1, mu2, nu_samples) -> CheckReport:
                 report.fail(kind="forward-chain", nu=nu.atoms)
         return report
 
+    _require_exact(mu1, mu2)
     pair = _non_codiag_pair(mu1.points(), mu2.points())
     if pair is None:
         raise ConstraintError(
@@ -205,24 +244,21 @@ def check_same_diag_char(mu1, mu2, nu_samples) -> CheckReport:
     # span 2 so the grid reaches distance 1 from y, where the unit-shift
     # condition d(nu, eta) = 1 can actually be met
     report.notes.append(_eta_grid_note(2))
-    for eta in _eta_candidates(y, span=2):
+    lattice, template = _eta_candidates(y, 2, 1)
+    for shape, d_ne in template:
         report.count()
-        d_ne = wasserstein_pow(nu, eta, 1)
         if d_ne != 1:
             continue
-        d1e = wasserstein_pow(mu1, eta, 1)
-        d2e = wasserstein_pow(mu2, eta, 1)
-        if d1e == d1n + d_ne and d2e == d2n + d_ne:
+        eta = _place(shape, lattice)
+        if wasserstein_pow(mu1, eta, 1) != d1n + d_ne:
+            continue
+        if wasserstein_pow(mu2, eta, 1) == d2n + d_ne:
             report.fail(kind="converse-alignment", eta=eta.atoms)
     return report
 
 
 def _one_third_point(x1: Point2, x2: Point2) -> Point2:
-    if x1.exact and x2.exact:
-        return Point2(
-            Fraction(2 * x1.x1 + x2.x1, 3), Fraction(2 * x1.x2 + x2.x2, 3)
-        )
-    return Point2((2 * x1.x1 + x2.x1) / 3, (2 * x1.x2 + x2.x2) / 3)
+    return Point2(Fraction(2 * x1.x1 + x2.x1, 3), Fraction(2 * x1.x2 + x2.x2, 3))
 
 
 def check_dirac_char(mu: DiscreteMeasure, nu_samples, p=2) -> CheckReport:
@@ -244,21 +280,21 @@ def check_dirac_char(mu: DiscreteMeasure, nu_samples, p=2) -> CheckReport:
                 report.bump_residual(abs(pow_ne - base))
         return report
 
+    _require_exact(mu)
     pts = mu.points()
     x1, x2 = pts[0], pts[1]
     # y at the one-third point keeps d(x1,y) != d(x2,y), which is what
     # rules the mirror chain out for every candidate eta
     y = _one_third_point(x1, x2)
-    nu = DiscreteMeasure.dirac(y)
-    base = wasserstein_pow(mu, nu, p)
+    base = wasserstein_pow(mu, DiscreteMeasure.dirac(y), p)
     report.notes.append(_eta_grid_note(1))
-    for eta in _eta_candidates(y):
+    lattice, template = _eta_candidates(y, 1, p)
+    for shape, pow_ne in template:
         report.count()
-        pow_ne = wasserstein_pow(nu, eta, p)
         if pow_ne != base:
             continue
-        pow_me = wasserstein_pow(mu, eta, p)
-        if pow_me == 2 ** p * base:
+        eta = _place(shape, lattice)
+        if wasserstein_pow(mu, eta, p) == 2 ** p * base:
             report.fail(kind="converse-chain", eta=eta.atoms)
     return report
 

@@ -487,20 +487,20 @@ def _printed_atoms(out: str, fmt: str):
     "args, outside",
     [
         (["project", "edge.json", "--line", "+,0"], None),
-        (["project", "edge.json", "--line", "+,2"], "(0, 2)"),
+        (["project", "edge.json", "--line", "+,2"], "atom (0, 2)"),
         (["radon", "edge.json"], None),
         (["radon", "--dirac", "1,-1"], None),
-        (["radon", "--dirac", "5/4,0"], "(5/4, 0)"),
+        (["radon", "--dirac", "5/4,0"], "atom (5/4, 0)"),
         (["interp", "edge.json", "--corner", "0,0", "--s", "1/2"], None),
-        (["interp", "edge.json", "--corner", "2,0", "--s", "0"], "(2, 0)"),
+        (["interp", "edge.json", "--corner", "2,0", "--s", "0"], "corner (2, 0)"),
         (["symmetric", "--dirac", "0,0", "--dirac", "1/4,-1/4", "--line", "+,0", "--p", "1"],
          None),
         (["symmetric", "--dirac", "0,0", "--dirac", "3/4,-3/4", "--line", "+,0", "--p", "1"],
-         "(3/2, -3/2)"),
+         "atom (3/2, -3/2)"),
         (["symmetric", "--dirac", "1/4,1/4", "--center", "0,0"], None),
-        (["symmetric", "--dirac", "3/4,0", "--center", "0,0"], "(3/2, 0)"),
+        (["symmetric", "--dirac", "3/4,0", "--center", "0,0"], "atom (3/2, 0)"),
         (["perturb", "small.json", "--a", "1/48"], None),
-        (["perturb", "edge.json", "--a", "1/48"], "(9/8, -7/8)"),
+        (["perturb", "edge.json", "--a", "1/48"], "atom (9/8, -7/8)"),
     ],
     ids=["project", "project-out", "radon", "radon-boundary", "radon-out", "interp",
          "interp-out", "symmetric-line", "symmetric-line-out", "symmetric-center",
@@ -509,7 +509,8 @@ def _printed_atoms(out: str, fmt: str):
 def test_square_mode_prints_only_atoms_in_q(args, outside, tmp_path, monkeypatch, capsys):
     """In square mode a measure command either prints only atoms of
     Q = [-1,1]^2, or prints nothing and exits 3 naming the first atom
-    outside Q of a measure it read or would print."""
+    outside Q of a measure it read or would print, or the point option
+    outside Q."""
     for name, atoms in _SQUARE_MEASURES.items():
         entries = [{"x": x, "w": w} for x, w in atoms]
         (tmp_path / name).write_text(json.dumps({"atoms": entries}))
@@ -526,7 +527,29 @@ def test_square_mode_prints_only_atoms_in_q(args, outside, tmp_path, monkeypatch
         else:
             assert code == 3
             assert out == ""
-            assert err == f"error: atom {outside} lies outside [-1,1]^2\n"
+            assert err == f"error: {outside} lies outside [-1,1]^2\n"
+
+
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        (["symmetric", "--dirac", "1,0", "--center", "3/2,0"], "center (3/2, 0)"),
+        (["interp", "--dirac", "1,1", "--corner", "2,2", "--s", "1"], "corner (2, 2)"),
+        (["project", "--dirac", "0,0", "--line", "+,5"], "atom (-5/2, 5/2)"),
+    ],
+    ids=["symmetric-center", "interp-corner", "project-line"],
+)
+def test_square_mode_holds_point_options_to_q(args, error, capsys):
+    """In square mode a mirror center, an interpolation corner or a
+    projection line outside Q fails the command with exit 3 before it
+    prints anything, though every measure it reads lies in Q."""
+    for fmt in ("json", "csv", "table"):
+        assert cli.main([*args, "--mode", "square", "--format", fmt]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {error} lies outside [-1,1]^2\n"
+        assert cli.main([*args, "--format", fmt]) == 0
+        capsys.readouterr()
 
 
 @pytest.mark.parametrize(

@@ -1,18 +1,26 @@
 """Tests for the verification suites and their checkers."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from maxwass import cli
+from maxwass import cli, transport
 from maxwass.geometry import DiagonalLine, Point2
 from maxwass.measure import DiscreteMeasure
 from maxwass.scalars import ConstraintError, ParseError
+from maxwass.transport import wasserstein_pow
 from maxwass.verify import (
     SUITES,
+    _eta_candidates,
+    _place,
     check_corner_interval,
     check_diag_saturation,
     check_diag_support_char,
@@ -251,3 +259,86 @@ def test_sweep_root_residual_tiny():
     root_note = next(n for n in report.notes if n.startswith("sweep roots"))
     assert "0.0" in root_note
     assert f"{math.log(3):.6f}"[:6] in root_note
+
+_EIGHTHS = st.integers(-24, 24).map(lambda k: F(k, 8))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_EIGHTHS, _EIGHTHS, st.sampled_from((1, 2, 3)), st.sampled_from((1, 2)))
+def test_template_powers_are_the_solved_dirac_powers(x1, x2, p, span):
+    """The converse sweeps read d_p^p(delta_y, eta) off one template
+    solved around the origin; dm is translation invariant, so on exact
+    y it is the power the solver gives for every candidate."""
+    y = Point2(x1, x2)
+    lattice, template = _eta_candidates(y, span, p)
+    assert len(template) == {1: 117, 2: 925}[span]
+    delta = DiscreteMeasure.dirac(y)
+    for shape, power in template:
+        assert power == wasserstein_pow(delta, _place(shape, lattice), p)
+
+
+_HALF = F(1, 2)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda: check_diag_support_char(
+            DiscreteMeasure([(Point2(0.0, 0.0), _HALF), (Point2(F(2), F(1)), _HALF)]), []
+        ),
+        lambda: check_diag_support_char(
+            DiscreteMeasure([(Point2(F(0), F(0)), 0.5), (Point2(F(2), F(1)), 0.5)]), []
+        ),
+        lambda: check_same_diag_char(
+            DiscreteMeasure.dirac(Point2(0.0, 0.0)),
+            DiscreteMeasure([(Point2(F(0), F(2)), _HALF), (Point2(F(1), F(3)), _HALF)]),
+            [],
+        ),
+        lambda: check_dirac_char(
+            DiscreteMeasure([(Point2(0.0, 0.0), F(1, 3)), (Point2(F(2), F(1)), F(2, 3))]), [], 2
+        ),
+    ],
+    ids=["diag-char-coordinate", "diag-char-weight", "same-diag", "dirac-char"],
+)
+def test_converse_checks_reject_float_measures(check):
+    with pytest.raises(ConstraintError, match="exact measures"):
+        check()
+
+
+def test_diag_char_converse_solves_once_per_candidate(monkeypatch):
+    """With the span-1 template warm, a diag-char converse call solves
+    d(mu, delta_y) once and d(mu, eta) once per candidate; every
+    d(delta_y, eta) comes from the template."""
+    off = DiscreteMeasure(
+        [(Point2(F(0), F(0)), F(1, 2)), (Point2(F(2), F(1)), F(1, 2))]
+    )
+    assert check_diag_support_char(off, []).passed
+    calls = []
+    solve = transport._solve
+
+    def counting(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(transport, "_solve", counting)
+    report = check_diag_support_char(off, [])
+    assert report.passed and report.instances == 117
+    assert len(calls) == 1 + 117
+
+
+def test_importing_the_cli_solves_no_template():
+    """The templates are solved at the first converse sweep, not at
+    import, so a command that sweeps nothing pays nothing for them."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import maxwass.cli\n"
+        "from maxwass.verify import _eta_template\n"
+        "print(_eta_template.cache_info().currsize)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "0\n"
