@@ -220,30 +220,39 @@ def cmd_dist(args) -> int:
     mu, nu = _gather_measures(args, 2, args.exact)
     solution = _solve(mu, nu, p)
     power = solution.power
-    if args.plan or args.format == "csv":
-        plan = solution.plan(mu, nu)
-        costs = [solution.cell_cost(i, j) for i, j, _ in plan.entries]
-        rows = io.StringIO()
-        _render_exact(lambda: plan.to_csv(rows, costs), _FLOAT_DISTANCE_HINT)
-        if args.plan:
-            with open(args.plan, "w", encoding="utf-8", newline="") as handle:
-                handle.write(rows.getvalue())
-    if args.format == "json":
-        report = {
-            "p": p if isinstance(p, int) else scalar_to_json(p),
-            "mode": args.mode,
-            "exact": args.exact,
-            "power": _render_exact(lambda: scalar_to_json(power), _FLOAT_DISTANCE_HINT),
-            "distance": _float_distance(power, p),
-        }
-        # a whole p may be that long too
-        _render_exact(lambda: _emit_json(report), _FLOAT_DISTANCE_HINT)
-    elif args.format == "csv":
-        sys.stdout.write(rows.getvalue())
-    elif args.exact:
-        print(_render_exact(lambda: str(power), _FLOAT_DISTANCE_HINT))
-    else:
-        print(repr(_float_distance(power, p)))
+    plan = solution.plan(mu, nu) if args.plan or args.format == "csv" else None
+
+    def render():
+        rows = None
+        if plan is not None:
+            costs = [solution.cell_cost(i, j) for i, j, _ in plan.entries]
+            buffer = io.StringIO()
+            plan.to_csv(buffer, costs)
+            rows = buffer.getvalue()
+        if args.format == "json":
+            report = {
+                "p": p if isinstance(p, int) else scalar_to_json(p),
+                "mode": args.mode,
+                "exact": args.exact,
+                "power": scalar_to_json(power),
+                "distance": _float_distance(power, p),
+            }
+            text = _json_text(report) + "\n"
+        elif args.format == "csv":
+            text = rows
+        elif args.exact:
+            text = f"{power}\n"
+        else:
+            text = f"{_float_distance(power, p)!r}\n"
+        return rows, text
+
+    # the plan file is written only once everything the command prints
+    # has rendered, so a command that fails leaves no file behind
+    rows, text = _render_exact(render, _FLOAT_DISTANCE_HINT)
+    if args.plan:
+        with open(args.plan, "w", encoding="utf-8", newline="") as handle:
+            handle.write(rows)
+    sys.stdout.write(text)
     return 0
 
 

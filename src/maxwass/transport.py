@@ -197,32 +197,18 @@ class TransportPlan:
 
     def _check_marginals(self):
         wants = (self.source.weights(), self.target.weights())
-        if self.exact:
-            # in ints over one common denominator, not in Fraction sums
-            scale = math.lcm(
-                *{w.denominator for *_, w in self.entries},
-                *{w.denominator for want in wants for w in want},
-            )
-
-            def scaled(w):
-                return w.numerator * (scale // w.denominator)
-
         row = [0] * self.source.support_size
         col = [0] * self.target.support_size
         for i, j, w in self.entries:
-            if self.exact:
-                w = scaled(w)
             row[i] += w
             col[j] += w
         for got, want, side in zip((row, col), wants, ("source", "target")):
             for k, (g, t) in enumerate(zip(got, want)):
                 if self.exact:
-                    ok = g == scaled(t)
+                    ok = g == t
                 else:
                     ok = abs(float(g) - float(t)) <= _FLOAT_MARGIN_TOL
                 if not ok:
-                    if self.exact:
-                        g = Fraction(g, scale)
                     raise ConstraintError(
                         f"{side} marginal mismatch at atom {k}: {g} != {t}"
                     )

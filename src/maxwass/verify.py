@@ -4,9 +4,11 @@ Every checker returns a CheckReport.  Equality assertions run in exact
 rational arithmetic; where a statement quantifies over *all* measures
 (the converse directions), the checker searches a declared finite grid
 of candidate measures with bounded-denominator weights and records that
-grid in the report notes.  Those searches take exact measures: each
-candidate's distance to the Dirac at the grid's centre is read from a
-template solved once per process around the origin.  All randomness
+grid in the report notes.  Those searches take exact measures and run
+in the frame of the grid's centre y: the candidates sit around the
+origin, each beside its distance to the origin Dirac, solved once per
+process, and a sweep moves the measures it checks by -y once.  A
+failure names its candidate moved back around y.  All randomness
 is seeded, so identical (suite, seed) runs produce identical reports.
 """
 
@@ -81,54 +83,46 @@ def _eta_grid_note(span: int) -> str:
 
 
 _ORIGIN = Point2(Fraction(0), Fraction(0))
-
-
-def _lattice(y: Point2, span: int) -> list:
-    """The points y + (i, j)/2 with |i|, |j| <= span, i major."""
-    offsets = [Fraction(i, 2) for i in range(-span, span + 1)]
-    return [Point2(y.x1 + a, y.x2 + b) for a in offsets for b in offsets]
-
-
-def _place(shape, lattice) -> DiscreteMeasure:
-    """The candidate of (grid index, weight) atoms `shape` on `lattice`."""
-    return DiscreteMeasure([(lattice[k], w) for k, w in shape])
+_ORIGIN_DIRAC = DiscreteMeasure.dirac(_ORIGIN)
 
 
 @functools.cache
 def _eta_template(span: int, p) -> tuple:
-    """The candidate grid around the origin as (shape, d_p^p(delta_0, eta))
-    pairs: the Diracs on the lattice, then each pair of its points with
-    weights w, 1 - w for w in {1/4, 1/2, 3/4}.  A shape is a tuple of
-    (grid index, weight) atoms on `_lattice(_ORIGIN, span)`.
+    """The candidate grid around the origin as (eta, d_p^p(delta_0, eta))
+    pairs: the Diracs on the lattice (i, j)/2 with |i|, |j| <= span, i
+    major, then each pair of its points with weights w, 1 - w for w in
+    {1/4, 1/2, 3/4}.
 
-    dm is translation invariant, so on exact coordinates the same powers
-    are d_p^p(delta_y, eta) for the grid around any y: a process solves
+    dm is translation invariant on both sides, d(mu, eta + y) =
+    d(mu - y, eta), so a sweep around y moves the measures it checks by
+    -y once and solves them against these candidates; a process solves
     each (span, p) grid once, at its first converse sweep."""
-    side = (2 * span + 1) ** 2
-    shapes = [((k, Fraction(1)),) for k in range(side)]
-    shapes += [
-        ((a, w), (b, 1 - w))
-        for a in range(side)
-        for b in range(a + 1, side)
+    offsets = [Fraction(i, 2) for i in range(-span, span + 1)]
+    lattice = [Point2(a, b) for a in offsets for b in offsets]
+    etas = [DiscreteMeasure.dirac(x) for x in lattice]
+    etas += [
+        DiscreteMeasure([(x, w), (z, 1 - w)])
+        for k, x in enumerate(lattice)
+        for z in lattice[k + 1:]
         for w in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
     ]
-    lattice = _lattice(_ORIGIN, span)
-    origin = DiscreteMeasure.dirac(_ORIGIN)
-    return tuple((shape, wasserstein_pow(origin, _place(shape, lattice), p)) for shape in shapes)
+    return tuple((eta, wasserstein_pow(_ORIGIN_DIRAC, eta, p)) for eta in etas)
 
 
-def _eta_candidates(y: Point2, span: int, p):
-    """The candidate grid around y: the lattice around y, and the
-    template's (shape, d_p^p(delta_y, eta)) pairs, whose shapes index it.
-    A sweep builds eta = `_place(shape, lattice)` only where it still has
-    to solve against it."""
-    return _lattice(y, span), _eta_template(span, p)
+def _to_origin(y: Point2, mu: DiscreteMeasure) -> DiscreteMeasure:
+    """mu moved by -y, into the template's frame around the origin."""
+    return push_forward(lambda x: x - y, mu)
+
+
+def _around(y: Point2, eta: DiscreteMeasure):
+    """The atoms of a candidate moved back by +y, as a failure names it."""
+    return push_forward(lambda x: x + y, eta).atoms
 
 
 def _require_exact(*measures):
-    """The converse sweeps read d_p^p(delta_y, eta) off a template solved
-    around the origin, which equals the solver's only on exact
-    coordinates."""
+    """The converse sweeps solve the measures they check, moved by -y,
+    against candidates around the origin, which gives the distances
+    around y only on exact coordinates."""
     if not all(mu.exact for mu in measures):
         raise ConstraintError("the converse check needs exact measures")
 
@@ -182,23 +176,21 @@ def check_diag_support_char(mu: DiscreteMeasure, nu_samples) -> CheckReport:
             "converse check needs two non-co-diagonal support points"
         )
     y = _midpoint(*pair)
-    nu = DiscreteMeasure.dirac(y)
-    d_mn = wasserstein_pow(mu, nu, 1)
+    moved = _to_origin(y, mu)
+    d_mn = wasserstein_pow(moved, _ORIGIN_DIRAC, 1)
     report.notes.append(_eta_grid_note(1))
-    lattice, template = _eta_candidates(y, 1, 1)
-    for shape, d_ne in template:
+    for eta, d_ne in _eta_template(1, 1):
         report.count()
-        eta = _place(shape, lattice)
-        d_me = wasserstein_pow(mu, eta, 1)
+        d_me = wasserstein_pow(moved, eta, 1)
         aligned = d_me == d_mn + d_ne
         chain = d_mn == d_ne and d_me == 2 * d_mn
         if chain:
-            report.fail(kind="converse-chain", eta=eta.atoms)
-        if aligned and eta != nu:
+            report.fail(kind="converse-chain", eta=_around(y, eta))
+        if aligned and eta != _ORIGIN_DIRAC:
             # alignment through delta_y forces eta = delta_y, which in
             # turn breaks the chain; anything else aligned is a bug
             report.fail(
-                kind="converse-alignment", eta=eta.atoms,
+                kind="converse-alignment", eta=_around(y, eta),
                 lhs=str(d_me), rhs=str(d_mn + d_ne),
             )
     return report
@@ -238,22 +230,20 @@ def check_same_diag_char(mu1, mu2, nu_samples) -> CheckReport:
             "converse check needs non-co-diagonal support points across the measures"
         )
     y = _midpoint(*pair)
-    nu = DiscreteMeasure.dirac(y)
-    d1n = wasserstein_pow(mu1, nu, 1)
-    d2n = wasserstein_pow(mu2, nu, 1)
+    moved1, moved2 = _to_origin(y, mu1), _to_origin(y, mu2)
+    d1n = wasserstein_pow(moved1, _ORIGIN_DIRAC, 1)
+    d2n = wasserstein_pow(moved2, _ORIGIN_DIRAC, 1)
     # span 2 so the grid reaches distance 1 from y, where the unit-shift
     # condition d(nu, eta) = 1 can actually be met
     report.notes.append(_eta_grid_note(2))
-    lattice, template = _eta_candidates(y, 2, 1)
-    for shape, d_ne in template:
+    for eta, d_ne in _eta_template(2, 1):
         report.count()
         if d_ne != 1:
             continue
-        eta = _place(shape, lattice)
-        if wasserstein_pow(mu1, eta, 1) != d1n + d_ne:
+        if wasserstein_pow(moved1, eta, 1) != d1n + d_ne:
             continue
-        if wasserstein_pow(mu2, eta, 1) == d2n + d_ne:
-            report.fail(kind="converse-alignment", eta=eta.atoms)
+        if wasserstein_pow(moved2, eta, 1) == d2n + d_ne:
+            report.fail(kind="converse-alignment", eta=_around(y, eta))
     return report
 
 
@@ -286,16 +276,15 @@ def check_dirac_char(mu: DiscreteMeasure, nu_samples, p=2) -> CheckReport:
     # y at the one-third point keeps d(x1,y) != d(x2,y), which is what
     # rules the mirror chain out for every candidate eta
     y = _one_third_point(x1, x2)
-    base = wasserstein_pow(mu, DiscreteMeasure.dirac(y), p)
+    moved = _to_origin(y, mu)
+    base = wasserstein_pow(moved, _ORIGIN_DIRAC, p)
     report.notes.append(_eta_grid_note(1))
-    lattice, template = _eta_candidates(y, 1, p)
-    for shape, pow_ne in template:
+    for eta, pow_ne in _eta_template(1, p):
         report.count()
         if pow_ne != base:
             continue
-        eta = _place(shape, lattice)
-        if wasserstein_pow(mu, eta, p) == 2 ** p * base:
-            report.fail(kind="converse-chain", eta=eta.atoms)
+        if wasserstein_pow(moved, eta, p) == 2 ** p * base:
+            report.fail(kind="converse-chain", eta=_around(y, eta))
     return report
 
 

@@ -618,6 +618,36 @@ def test_number_too_long_for_a_message_is_constraint_error(
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_dist_that_cannot_print_its_power_writes_no_plan(fmt, tmp_path, capsys):
+    """Every weight of m.json prints, but the exact power's denominator
+    does not: dist fails with exit 3, prints nothing and leaves no
+    --plan file behind."""
+    k = 10**4000 + 1
+    a, b = 10**150 + 7, 10**150 + 9
+    weights = [
+        Fraction(3, k * a), Fraction(a - 3, k * a),
+        Fraction(5, k * b), Fraction(b - 5, k * b), 1 - Fraction(2, k),
+    ]
+    points = [(1, 0), (2, 0), (3, 0), (5, 0), (0, 0)]
+    atoms = [
+        {"x": [str(x1), str(x2)], "w": str(w)}
+        for (x1, x2), w in zip(points, weights)
+    ]
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"atoms": atoms}))
+    plan = tmp_path / "plan.csv"
+    args = ["dist", str(path), "--dirac", "0,0", "--p", "1", "--exact"]
+    assert cli.main([*args, "--plan", str(plan), "--format", fmt]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "more digits than Python prints" in err
+    assert not plan.exists()
+    # the plan itself prints: the csv format, which prints no power, works
+    assert cli.main([*args, "--plan", str(plan), "--format", "csv"]) == 0
+    assert plan.read_bytes().decode() == capsys.readouterr().out
+
+
 def test_project_closed_form():
     out = run_cli("project", "--dirac", "1,0", "--line", "+,1", "--exact",
                   "--format", "json")
@@ -880,7 +910,7 @@ def test_measure_commands_ignore_seed_env(command, measures, monkeypatch, capsys
 
 def readme_commands():
     """The `maxwass ...` lines of README's Command line block, but for
-    `verify all` and `reproduce-paper`, which take about 15 s each and
+    `verify all` and `reproduce-paper`, which take about 4-5 s each and
     run the suites test_acceptance.py checks."""
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]

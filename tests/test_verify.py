@@ -1,5 +1,6 @@
 """Tests for the verification suites and their checkers."""
 
+import json
 import math
 import os
 import random
@@ -12,15 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxwass import cli, transport
+from maxwass import cli, transport, verify
 from maxwass.geometry import DiagonalLine, Point2
-from maxwass.measure import DiscreteMeasure
+from maxwass.measure import DiscreteMeasure, push_forward
 from maxwass.scalars import ConstraintError, ParseError
 from maxwass.transport import wasserstein_pow
 from maxwass.verify import (
     SUITES,
-    _eta_candidates,
-    _place,
+    CheckReport,
+    _eta_template,
     check_corner_interval,
     check_diag_saturation,
     check_diag_support_char,
@@ -104,9 +105,51 @@ def test_fast_suites_pass(suite, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-@pytest.mark.parametrize("suite", FAST_SUITES)
+@pytest.mark.parametrize("suite", FAST_SUITES + ["same-diag"])
 def test_fast_suites_match_pinned_seeds(suite, seed, capsys, monkeypatch):
     assert_prints_pinned_report(suite, seed, capsys, monkeypatch)
+
+
+def _failing_stub(seed):
+    """Three failing reports of one statement, three failures each, and
+    a passing report of another."""
+    reports = []
+    for r in range(3):
+        report = CheckReport("stub-statement")
+        for k in range(3):
+            report.count()
+            report.fail(kind="stub", report=r, instance=k)
+        reports.append(report)
+    passing = CheckReport("stub-passing")
+    passing.count()
+    return reports + [passing]
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_failing_suite_exits_1_with_capped_samples(fmt, capsys, monkeypatch):
+    """A failed statement exits 1 and reports at most two failures of
+    each report and four of each statement."""
+    monkeypatch.delenv("MAXWASS_SEED", raising=False)
+    monkeypatch.setitem(verify.SUITES, "stub", _failing_stub)
+    code = cli.main(["verify", "stub", "--format", fmt])
+    out = capsys.readouterr().out
+    assert code == 1
+    samples = [
+        repr({"kind": "stub", "report": r, "instance": k}) for r in (0, 1) for k in (0, 1)
+    ]
+    if fmt == "json":
+        data = json.loads(out)
+        assert data["passed"] is False
+        failing, passing = data["statements"]
+        assert (failing["name"], failing["failures"]) == ("stub-statement", 9)
+        assert failing["failure_samples"] == samples
+        assert (passing["name"], passing["failures"]) == ("stub-passing", 0)
+    else:
+        lines = out.splitlines()
+        assert lines[0].startswith("FAIL  stub-statement  instances=9  failures=9")
+        assert lines[1:5] == [f"      failure: {sample}" for sample in samples]
+        assert lines[5].startswith("PASS  stub-passing  ")
+        assert lines[-1] == "passed 1/2 statements"
 
 
 def test_seeded_suites_are_deterministic():
@@ -264,17 +307,26 @@ _EIGHTHS = st.integers(-24, 24).map(lambda k: F(k, 8))
 
 
 @settings(max_examples=25, deadline=None)
-@given(_EIGHTHS, _EIGHTHS, st.sampled_from((1, 2, 3)), st.sampled_from((1, 2)))
-def test_template_powers_are_the_solved_dirac_powers(x1, x2, p, span):
-    """The converse sweeps read d_p^p(delta_y, eta) off one template
-    solved around the origin; dm is translation invariant, so on exact
-    y it is the power the solver gives for every candidate."""
+@given(
+    _EIGHTHS, _EIGHTHS, st.sampled_from((1, 2, 3)), st.sampled_from((1, 2)),
+    st.integers(0, 2**32),
+)
+def test_template_powers_are_the_solved_dirac_powers(x1, x2, p, span, draw):
+    """The converse sweeps solve measures moved by -y against one
+    template of candidates around the origin; dm is translation
+    invariant, so on exact coordinates each candidate's template power
+    is the solver's d_p^p(delta_y, eta + y), and d(mu, eta + y) =
+    d(mu - y, eta) for every exact mu."""
     y = Point2(x1, x2)
-    lattice, template = _eta_candidates(y, span, p)
+    template = _eta_template(span, p)
     assert len(template) == {1: 117, 2: 925}[span]
     delta = DiscreteMeasure.dirac(y)
-    for shape, power in template:
-        assert power == wasserstein_pow(delta, _place(shape, lattice), p)
+    mu = rand_measure(random.Random(draw), 3)
+    moved = push_forward(lambda x: x - y, mu)
+    for eta, power in template:
+        around = push_forward(lambda x: x + y, eta)
+        assert power == wasserstein_pow(delta, around, p)
+        assert wasserstein_pow(mu, around, p) == wasserstein_pow(moved, eta, p)
 
 
 _HALF = F(1, 2)
@@ -308,22 +360,47 @@ def test_converse_checks_reject_float_measures(check):
 def test_diag_char_converse_solves_once_per_candidate(monkeypatch):
     """With the span-1 template warm, a diag-char converse call solves
     d(mu, delta_y) once and d(mu, eta) once per candidate; every
-    d(delta_y, eta) comes from the template."""
+    d(delta_y, eta) comes from the template.  It moves mu into the
+    template's frame and builds no candidate around y: at most two
+    measures."""
     off = DiscreteMeasure(
         [(Point2(F(0), F(0)), F(1, 2)), (Point2(F(2), F(1)), F(1, 2))]
     )
     assert check_diag_support_char(off, []).passed
-    calls = []
-    solve = transport._solve
+    calls, built = [], []
+    solve, init = transport._solve, DiscreteMeasure.__init__
 
     def counting(*args):
         calls.append(args)
         return solve(*args)
 
+    def counting_init(self, atoms):
+        built.append(atoms)
+        init(self, atoms)
+
     monkeypatch.setattr(transport, "_solve", counting)
+    monkeypatch.setattr(DiscreteMeasure, "__init__", counting_init)
     report = check_diag_support_char(off, [])
     assert report.passed and report.instances == 117
     assert len(calls) == 1 + 117
+    assert len(built) <= 2
+
+
+def test_converse_failure_names_its_candidate_around_y(monkeypatch):
+    """A failure payload names the candidate moved back around y, not
+    the template's candidate around the origin."""
+    off = DiscreteMeasure(
+        [(Point2(F(0), F(0)), F(1, 2)), (Point2(F(2), F(1)), F(1, 2))]
+    )
+    y = Point2(F(1), F(1, 2))  # the midpoint of the two atoms
+    moved = push_forward(lambda x: x - y, off)
+    eta = DiscreteMeasure.dirac(Point2(F(1, 2), F(0)))
+    # a template power that aligns eta through delta_y, as no true one does
+    wrong = wasserstein_pow(moved, eta, 1) - wasserstein_pow(moved, verify._ORIGIN_DIRAC, 1)
+    monkeypatch.setattr(verify, "_eta_template", lambda span, p: ((eta, wrong),))
+    report = check_diag_support_char(off, [])
+    assert [f["kind"] for f in report.failures] == ["converse-alignment"]
+    assert report.failures[0]["eta"] == ((Point2(F(3, 2), F(1, 2)), F(1)),)
 
 
 def test_importing_the_cli_solves_no_template():
