@@ -110,6 +110,8 @@ def _load_json(path: str):
         raise ParseError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}")
+    except RecursionError:
+        raise ParseError(f"{path} is not valid JSON: nested too deeply") from None
 
 
 def _exactify(mu: DiscreteMeasure) -> DiscreteMeasure:
@@ -250,8 +252,11 @@ def cmd_dist(args) -> int:
     # has rendered, so a command that fails leaves no file behind
     rows, text = _render_exact(render, _FLOAT_DISTANCE_HINT)
     if args.plan:
-        with open(args.plan, "w", encoding="utf-8", newline="") as handle:
-            handle.write(rows)
+        try:
+            with open(args.plan, "w", encoding="utf-8", newline="") as handle:
+                handle.write(rows)
+        except OSError as exc:
+            raise ParseError(f"cannot write {args.plan}: {exc}") from None
     sys.stdout.write(text)
     return 0
 
@@ -266,6 +271,8 @@ def _render_exact(render, hint=""):
     text."""
     try:
         return render()
+    except ConstraintError:  # a ValueError too, with its own message
+        raise
     except ValueError:
         raise ConstraintError(
             "an exact result has more digits than Python prints" + hint

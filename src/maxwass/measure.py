@@ -3,8 +3,10 @@
 A DiscreteMeasure is a canonical list of (point, weight) atoms: sorted
 lexicographically by coordinates, duplicate points merged (exact
 equality in exact mode, tolerance 1e-12 in float mode), weights
-strictly positive and summing to one.  Canonical form makes equality of
-measures plain tuple equality.
+strictly positive and summing to one, float coordinates finite (a
+construction that overflows the float range fails with a
+ConstraintError).  Canonical form makes equality of measures plain
+tuple equality.
 
 An exact measure also carries its `IntegerForm`, decided once when it
 is built: every coordinate and weight over the least common
@@ -58,12 +60,20 @@ def _negative_weight(x: Point2, w: Scalar) -> ConstraintError:
 
 
 def _merge_atoms(atoms: Iterable[Atom]) -> tuple[Atom, ...]:
+    """The atoms sorted, zero weights dropped and points merged: exact
+    pairs when equal, others within MERGE_TOL.  A float coordinate
+    beyond the float range is a ConstraintError."""
     kept: list[list] = []
     for x, w in sorted(atoms, key=lambda a: (a[0].x1, a[0].x2)):
         if w < 0:
             raise _negative_weight(x, w)
         if w == 0:
             continue
+        if any(isinstance(c, float) and not math.isfinite(c) for c in x):
+            raise ConstraintError(
+                f"atom {point_for_message(x)} lies beyond the float range; "
+                "--exact computes it exactly"
+            )
         if kept:
             px, pw = kept[-1]
             exact_pair = px.exact and x.exact

@@ -6,7 +6,7 @@ measures carry since they were built (tol=0, every comparison exact);
 its flows stay ints until a caller that keeps the plan divides them by
 the weight scale.  Other problems run on floats, and the tolerance on
 the reduced-cost test is the only float-specific code here
-(`TransportPlan` prunes float dust from the flows).  Any exact ordered
+(a plan built from them prunes float dust).  Any exact ordered
 scalar, Fraction included, also works with tol=0.
 
 The basis is a spanning tree on the bipartite graph of rows 0..m-1 and

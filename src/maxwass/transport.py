@@ -7,7 +7,7 @@ Two independent routes compute it:
 * `wasserstein` runs the network simplex, on Python ints whenever both
   measures are exact and p is a whole number and on floats otherwise;
   where a side is one atom it takes the product plan, the only
-  coupling, instead;
+  coupling, instead, from `_product_solution` in either arithmetic;
 * `brute_force_wasserstein` folds the minimum cost over every vertex of
   the coupling polytope, and returns only that number.
 
@@ -17,8 +17,8 @@ common coordinate and weight scales, reading a side that is at the
 common scale already as it is; each route divides by the scales once
 at the end.  Only that input is shared, never the search,
 so agreement between the two is a real check and is enforced wholesale
-by the acceptance suite.  Measures and plans fix their exactness when
-they are built, and every later decision reads that flag.
+by the acceptance suite.  Measures fix their exactness when they are
+built, a solve decides its own once, and its plan takes that verdict.
 
 Every exact solve goes through `_certified_solve`, which takes an
 integer instance (cost, supply, demand).  When a side has one atom it
@@ -35,8 +35,9 @@ A failed certificate raises RuntimeError.  A solve returns the power
 and its vertex at the scale it ran on: integer flows and costs with
 their scales on exact problems.  Only `wasserstein` and the plan
 outputs of the CLI divide them into a `TransportPlan`, so
-`wasserstein_pow` builds no plan and no Fraction per cell; such an
-exact plan is certified already and skips the plan's own checks.
+`wasserstein_pow` builds no plan and no Fraction per cell.  A solver
+plan skips the plan's own checks: the certificate, or on floats the
+margin check at _FLOAT_MARGIN_TOL, has proved its margins already.
 
 Uniqueness of the optimal coupling (`is_unique_optimal_plan`) takes two
 certified solves: the problem itself, then a probe on the same margins
@@ -75,6 +76,8 @@ def active_kernel() -> str:
 
 #: how far a float plan's margins may stray from the measures' weights
 _FLOAT_MARGIN_TOL = 1e-9
+#: float plan weights at or below this are rounding dust and are pruned
+_FLOAT_DUST = 1e-14
 
 
 def _require_valid_p(p):
@@ -155,20 +158,21 @@ def _integer_instance(mu: DiscreteMeasure, nu: DiscreteMeasure, q: int):
 @dataclass(frozen=True)
 class TransportPlan:
     """A coupling of source and target, stored as positive (i, j, weight)
-    entries sorted by index pair; zero-weight entries are pruned.  The
-    plan is exact when both measures and every weight are exact."""
+    entries sorted by index pair; zero-weight entries are pruned.  A
+    solver plan is exact when its solve was; any other plan is exact
+    when both measures and every weight are exact."""
 
     source: DiscreteMeasure
     target: DiscreteMeasure
     entries: tuple[tuple[int, int, Scalar], ...]
     exact: bool = field(init=False, compare=False, repr=False)
 
-    def __init__(self, source, target, entries, *, _certified=False):
-        if _certified:
-            # the plan of a certified exact solve: positive Fractions on
-            # distinct cells in row-major order, whose margins the
-            # certificate proved in ints, so none of it is checked again
-            kept, exact = tuple(entries), True
+    def __init__(self, source, target, entries, *, _exact=None):
+        if _exact is not None:
+            # a solver plan, exact as its solve decided: positive weights
+            # on distinct cells in row-major order, whose margins the
+            # solve proved, so none of it is checked again
+            kept, exact = tuple(entries), _exact
         else:
             cells = {}
             for i, j, w in entries:
@@ -183,7 +187,7 @@ class TransportPlan:
             kept = [
                 (i, j, w)
                 for (i, j), w in cells.items()
-                if not (w == 0 or (isinstance(w, float) and w <= 1e-14))
+                if not (w == 0 or (isinstance(w, float) and w <= _FLOAT_DUST))
             ]
             kept.sort(key=lambda e: (e[0], e[1]))
             kept = tuple(kept)
@@ -192,17 +196,14 @@ class TransportPlan:
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "entries", kept)
         object.__setattr__(self, "exact", exact)
-        if not _certified:
+        if _exact is None:
             self._check_marginals()
 
     def _check_marginals(self):
         wants = (self.source.weights(), self.target.weights())
-        row = [0] * self.source.support_size
-        col = [0] * self.target.support_size
-        for i, j, w in self.entries:
-            row[i] += w
-            col[j] += w
-        for got, want, side in zip((row, col), wants, ("source", "target")):
+        flows = {(i, j): w for i, j, w in self.entries}
+        margins = _margins(flows, self.source.support_size, self.target.support_size)
+        for got, want, side in zip(margins, wants, ("source", "target")):
             for k, (g, t) in enumerate(zip(got, want)):
                 if self.exact:
                     ok = g == t
@@ -273,34 +274,23 @@ def _certificate_failure(cost, supply, demand, solution):
 
 
 def _product_solution(cost, supply, demand):
-    """The product plan of a 1 x n or n x 1 integer instance and the
-    first condition it fails, as (solution, failure or None).
-
-    The solution is the one `solve_transportation` returns there: the
-    northwest corner is the product plan and needs no pivot, and its
-    potentials are u_0 = 0, v_j = c_0j on a row, and v_0 = c_00,
-    u_i = c_i0 - c_00 on a column.  With one atom on a side, a feasible
-    plan is the only coupling, so feasibility alone proves it optimal:
-    every flow is positive and the atom's margin equals the other
-    side's total, in O(n) ints.  The dual and strong-duality clauses of
-    `_certificate_failure` hold by construction, as every reduced cost
-    is 0 and the total is sum c*x, so they are not re-run.
+    """The product plan of a 1 x n or n x 1 instance, ints or floats, as
+    the (total, flows, u, v) `solve_transportation` returns there: the
+    northwest corner is the product plan and needs no pivot, its flows
+    are the other side's weights as given, and its potentials are
+    u_0 = 0, v_j = c_0j on a row, and v_0 = c_00, u_i = c_i0 - c_00 on
+    a column.  Every reduced cost is 0 and the total is sum c*x, so the
+    dual and strong-duality clauses of `_certificate_failure` hold by
+    construction.
     """
     if len(supply) == 1:
         row = cost[0]
         flows = {(0, j): d for j, d in enumerate(demand)}
-        total = sum(map(operator.mul, row, demand))
-        solution = (total, flows, [0], list(row))
-        atom, others = supply[0], demand
-    else:
-        c00 = cost[0][0]
-        flows = {(i, 0): s for i, s in enumerate(supply)}
-        total = sum(row[0] * s for row, s in zip(cost, supply))
-        solution = (total, flows, [row[0] - c00 for row in cost], [c00])
-        atom, others = demand[0], supply
-    if min(others) <= 0 or sum(others) != atom:
-        return solution, "primal feasibility"
-    return solution, None
+        return sum(map(operator.mul, row, demand)), flows, [0], list(row)
+    c00 = cost[0][0]
+    flows = {(i, 0): s for i, s in enumerate(supply)}
+    total = sum(row[0] * s for row, s in zip(cost, supply))
+    return total, flows, [row[0] - c00 for row in cost], [c00]
 
 
 def _certified_solve(cost, supply, demand):
@@ -308,12 +298,18 @@ def _certified_solve(cost, supply, demand):
     its optimality certificate.
 
     Returns the (total, flows, u, v) of `solve_transportation`: from the
-    simplex, or, when a side has one atom, from `_product_solution`.  A
-    failed certificate is a solver bug and raises RuntimeError, like the
-    pivot cap; no answer is returned.
+    simplex, or, when a side has one atom, from `_product_solution`.
+    There a feasible plan is the only coupling, so feasibility alone
+    proves it optimal: every flow is positive and the atom's margin
+    equals the other side's total, in O(n) ints.  A failed certificate
+    is a solver bug and raises RuntimeError, like the pivot cap; no
+    answer is returned.
     """
     if len(supply) == 1 or len(demand) == 1:
-        solution, failed = _product_solution(cost, supply, demand)
+        solution = _product_solution(cost, supply, demand)
+        atom, others = (supply[0], demand) if len(supply) == 1 else (demand[0], supply)
+        feasible = min(others) > 0 and sum(others) == atom
+        failed = None if feasible else "primal feasibility"
     else:
         solution = solve_transportation(cost, supply, demand, 0)
         failed = _certificate_failure(cost, supply, demand, solution)
@@ -338,15 +334,15 @@ class _Solution(NamedTuple):
     cost_scale: int | None
 
     def plan(self, mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportPlan:
-        """The vertex as a plan between mu and nu, the measures solved.
-        An exact vertex is certified already; a float one takes every
-        check of `TransportPlan`, which prunes float dust."""
+        """The vertex as a plan between mu and nu, the measures solved,
+        exact when the solve was.  Its margins were checked by the solve,
+        so the plan checks nothing again; float dust is pruned here."""
         scale = self.weight_scale
         if scale is None:
-            entries = [(i, j, x) for (i, j), x in self.flows.items()]
+            entries = [(i, j, x) for (i, j), x in self.flows.items() if x > _FLOAT_DUST]
         else:
             entries = [(i, j, Fraction(f, scale)) for (i, j), f in self.flows.items()]
-        return TransportPlan(mu, nu, entries, _certified=scale is not None)
+        return TransportPlan(mu, nu, entries, _exact=scale is not None)
 
     def cell_cost(self, i: int, j: int) -> Scalar:
         """dm(x_i, y_j)^p, read off the cost matrix."""
@@ -362,9 +358,9 @@ def _solve(mu: DiscreteMeasure, nu: DiscreteMeasure, p) -> _Solution:
     number, a float otherwise.  Exact problems, Diracs included, take
     `_certified_solve` and divide only the total by the instance's
     scales; the flows stay ints for a caller that keeps the plan.
-    Float problems where a side is one atom take the product plan, and
-    the others must meet every margin within the tolerance
-    `TransportPlan` checks.
+    Float problems where a side is one atom take `_product_solution` on
+    the float weights, and the others must meet every margin within
+    _FLOAT_MARGIN_TOL.
     """
     _require_valid_p(p)
     if _is_exact_problem(mu, nu, p):
@@ -379,26 +375,22 @@ def _solve(mu: DiscreteMeasure, nu: DiscreteMeasure, p) -> _Solution:
         raise ConstraintError("the exponent p exceeds the float range") from None
     try:
         cost = _cost_matrix(mu, nu, fp)
+        top = max(map(max, cost))
     except OverflowError:
+        top = math.inf
+    if top == math.inf:  # a float dm can round to inf without raising
         raise ConstraintError(
             "a transport cost exceeds the float range; "
             "--exact with a whole-number p computes it exactly"
         ) from None
-    if mu.support_size == 1 or nu.support_size == 1:
-        # the only coupling there is; its products w * 1.0 carry no
-        # rounding residue from the simplex's northwest corner
-        flows = {
-            (i, j): wi * wj
-            for i, (_, wi) in enumerate(mu.atoms)
-            for j, (_, wj) in enumerate(nu.atoms)
-        }
-        power = 0
-        for (i, j), w in flows.items():
-            power += cost[i][j] * w
-        return _Solution(power, flows, cost, None, None)
     supply = [float(s) for s in mu.weights()]
     demand = [float(d) for d in nu.weights()]
-    tol = 1e-11 * max(1.0, max(map(max, cost)))
+    if len(supply) == 1 or len(demand) == 1:
+        # the only coupling there is, with no rounding residue from the
+        # simplex's northwest corner
+        total, flows, _, _ = _product_solution(cost, supply, demand)
+        return _Solution(total, flows, cost, None, None)
+    tol = 1e-11 * max(1.0, top)
     total, flows, _, _ = solve_transportation(cost, supply, demand, tol)
     row, col = _margins(flows, len(supply), len(demand))
     if any(abs(g - t) > _FLOAT_MARGIN_TOL for g, t in zip(row + col, supply + demand)):

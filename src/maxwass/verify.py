@@ -247,6 +247,9 @@ def check_same_diag_char(mu1, mu2, nu_samples) -> CheckReport:
     return report
 
 
+_REFLECTION_NOTE = "eta candidates also include the point reflection of mu about y"
+
+
 def _one_third_point(x1: Point2, x2: Point2) -> Point2:
     return Point2(Fraction(2 * x1.x1 + x2.x1, 3), Fraction(2 * x1.x2 + x2.x2, 3))
 
@@ -279,7 +282,11 @@ def check_dirac_char(mu: DiscreteMeasure, nu_samples, p=2) -> CheckReport:
     moved = _to_origin(y, mu)
     base = wasserstein_pow(moved, _ORIGIN_DIRAC, p)
     report.notes.append(_eta_grid_note(1))
-    for eta, pow_ne in _eta_template(1, p):
+    report.notes.append(_REFLECTION_NOTE)
+    # the point reflection of mu about y lies at d_p(mu, delta_y) from
+    # delta_y by construction, so the chain is always solved against it
+    reflected = push_forward(lambda x: Point2(-x.x1, -x.x2), moved)
+    for eta, pow_ne in (*_eta_template(1, p), (reflected, base)):
         report.count()
         if pow_ne != base:
             continue

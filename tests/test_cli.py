@@ -199,8 +199,10 @@ def test_dist_distance_beyond_float_range_is_constraint_error(p, flags):
     out = run_cli("dist", "--dirac", "0,0", "--dirac", "1e400,0", "--p", p, *flags)
     assert out.returncode == 3
     assert out.stdout == ""
-    assert "--exact" in out.stderr
-    assert "Traceback" not in out.stderr
+    assert out.stderr == (
+        "error: the distance exceeds the float range; "
+        "--exact with the table format prints its exact p-th power\n"
+    )
 
 
 @pytest.mark.parametrize("p", [1, 2])
@@ -259,6 +261,25 @@ def test_dist_float_exponent_beyond_float_range(tmp_path, fmt, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == "error: the exponent p exceeds the float range\n"
+
+
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+@pytest.mark.parametrize("atoms", [1, 2])
+def test_dist_float_cost_that_rounds_to_infinity(tmp_path, fmt, atoms, capsys):
+    """dm((1e308, 0), (-1e308, y)) rounds to inf without an OverflowError:
+    dist exits 3 as for any cost beyond the float range, one-atom side or
+    not, and --exact computes it."""
+    left, right = tmp_path / "left.json", tmp_path / "right.json"
+    left.write_text(json.dumps({"atoms": [{"x": [1e308, 0], "w": 1}]}))
+    ys = range(atoms)
+    right.write_text(json.dumps({"atoms": [{"x": [-1e308, y], "w": 1 / atoms} for y in ys]}))
+    argv = ["dist", str(left), str(right), "--p", "1"]
+    assert cli.main([*argv, "--format", fmt]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: a transport cost exceeds the float range; --exact")
+    assert cli.main([*argv, "--exact"]) == 0
+    assert capsys.readouterr().out == f"{2 * 10**308}\n"
 
 
 def test_dist_float_cost_in_range_at_p1(big_float):
@@ -326,6 +347,114 @@ def test_non_array_atoms_is_parse_error(tmp_path, atoms):
     assert out.returncode == 2
     assert out.stdout == ""
     assert out.stderr == "error: measure JSON must be an object with an 'atoms' array\n"
+
+
+_BEYOND_FLOAT_RANGE = {
+    "big": [{"x": [1e308, 0], "w": 0.5}, {"x": [-1e308, 0], "w": 0.5}],
+    "b2": [{"x": [1.5e308, 1.5e308], "w": 1}],
+}
+
+
+@pytest.mark.parametrize(
+    "measure, args",
+    [
+        ("big", ["symmetric", "{m}", "--center", "0,0"]),
+        ("b2", ["radon", "{m}"]),
+        ("b2", ["symmetric", "--dirac", "1,1", "{m}", "--line", "+,0", "--p", "1"]),
+    ],
+    ids=["symmetric-center", "radon", "symmetric-line"],
+)
+def test_construction_beyond_float_range_is_constraint_error(measure, args, tmp_path, capsys):
+    """A float construction whose atom overflows the float range prints
+    nothing and exits 3, pointing to --exact, which computes it."""
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"atoms": _BEYOND_FLOAT_RANGE[measure]}))
+    argv = [a.format(m=path) for a in args]
+    for fmt in ("json", "csv", "table"):
+        assert cli.main([*argv, "--format", fmt]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: atom (")
+        assert "beyond the float range; --exact" in err
+        assert err.count("\n") == 1
+    for fmt in ("json", "csv", "table"):
+        assert cli.main([*argv, "--format", fmt, "--exact"]) == 0
+        assert "inf" not in capsys.readouterr().out.lower()
+
+
+@pytest.mark.parametrize("where", ["missing/p.csv", "."], ids=["no-dir", "a-dir"])
+def test_dist_plan_that_cannot_be_written_is_parse_error(where, tmp_path, capsys):
+    plan = tmp_path / where
+    argv = ["dist", "--dirac", "0,0", "--dirac", "1,1", "--plan", str(plan)]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: cannot write {plan}: ")
+    assert err.count("\n") == 1
+
+
+def test_deeply_nested_json_is_parse_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 3000 + "]" * 3000)
+    assert cli.main(["dist", str(path), "--dirac", "0,0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {path} is not valid JSON: nested too deeply\n"
+
+
+@pytest.mark.parametrize("order", ["file-first", "dirac-first"])
+def test_dist_float_one_atom_plan_prints_float_weights(order, tmp_path, capsys):
+    """At p = 3/2 the solve is a float one: its one-atom plan prints float
+    weights, as a plan with two atoms on each side does."""
+    path = tmp_path / "m2.json"
+    path.write_text(json.dumps({"atoms": [
+        {"x": ["0", "0"], "w": "1/3"}, {"x": ["1", "0"], "w": "2/3"},
+    ]}))
+    dirac = ["--dirac", "0,1"]
+    sides = [str(path), *dirac] if order == "file-first" else [*dirac, str(path)]
+    assert cli.main(["dist", *sides, "--p", "3/2", "--format", "csv"]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert [row["weight"] for row in rows] == [repr(1 / 3), repr(2 / 3)]
+
+
+_HOSTILE_FILES = {
+    "big.json": json.dumps({"atoms": _BEYOND_FLOAT_RANGE["big"]}),
+    "b2.json": json.dumps({"atoms": _BEYOND_FLOAT_RANGE["b2"]}),
+    "far.json": json.dumps({"atoms": [{"x": [-1e308, 0], "w": 1}]}),
+    "deep.json": "[" * 3000 + "]" * 3000,
+    "nan.json": '{"atoms": [{"x": [NaN, 0], "w": 1}]}',
+    "e999.json": '{"atoms": [{"x": [1e999, 0], "w": 1}]}',
+    "digits.json": json.dumps({"atoms": [{"x": ["1" * 5000, "0"], "w": "1"}]}),
+}
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["symmetric", "{d}/big.json", "--center", "0,0"],
+        ["radon", "{d}/b2.json", "--format", "csv"],
+        ["symmetric", "--dirac", "1,1", "{d}/b2.json", "--line", "+,0", "--p", "1"],
+        ["dist", "{d}/big.json", "{d}/far.json", "--p", "1"],
+        ["dist", "--dirac", "0,0", "--dirac", "1,1", "--plan", "{d}/missing/p.csv"],
+        ["dist", "--dirac", "0,0", "--dirac", "1,1", "--plan", "{d}"],
+        ["dist", "{d}/deep.json", "--dirac", "0,0"],
+        ["dist", "{d}/nan.json", "--dirac", "0,0"],
+        ["dist", "{d}/e999.json", "--dirac", "0,0"],
+        ["radon", "{d}/digits.json"],
+    ],
+    ids=["overflow-symmetric-center", "overflow-radon", "overflow-symmetric-line",
+         "overflow-dist", "plan-no-dir", "plan-a-dir", "nesting", "nan", "1e999", "5000-digits"],
+)
+def test_hostile_input_fails_without_traceback(args, tmp_path):
+    """Bad input ends in one error line and exit 2 or 3, never in a
+    traceback, an exit code of 1 or anything on stdout."""
+    for name, text in _HOSTILE_FILES.items():
+        (tmp_path / name).write_text(text)
+    out = run_cli(*[a.format(d=tmp_path) for a in args], timeout=60)
+    assert out.returncode in (2, 3), out.stderr
+    assert out.stdout == ""
+    assert out.stderr.startswith("error:")
+    assert "Traceback" not in out.stderr
 
 
 def test_dist_plan_csv(measures, tmp_path):

@@ -557,6 +557,65 @@ def test_float_dirac_solve_keeps_the_product_plan():
     assert wasserstein_pow(nu, mu, 2) == want
 
 
+def test_float_solve_of_exact_measures_gives_a_float_plan():
+    """A fractional p makes the solve a float one, so its plan is not
+    exact, one-atom side or not: the product flows are the float weights
+    of the other side, in either argument order."""
+    m2 = DiscreteMeasure([(Point2(F(0), F(0)), F(1, 3)), (Point2(F(1), F(0)), F(2, 3))])
+    dirac = DiscreteMeasure.dirac(Point2(F(0), F(1)))
+    for mu, nu in ((m2, dirac), (dirac, m2)):
+        _, plan = wasserstein(mu, nu, F(3, 2))
+        assert plan.exact is False
+        assert [w for _, _, w in plan.entries] == [1 / 3, 2 / 3]
+        assert all(type(w) is float for _, _, w in plan.entries)
+        rows = io.StringIO()
+        plan.to_csv(rows, [0.0, 0.0])
+        weights = [line.split(",")[-2] for line in rows.getvalue().splitlines()[1:]]
+        assert weights == [repr(1 / 3), repr(2 / 3)]
+
+
+@pytest.mark.parametrize("dust, kept", [(1e-14, False), (1e-13, True)])
+def test_float_plan_drops_flow_dust(monkeypatch, dust, kept):
+    """A float flow at or below 1e-14 is rounding dust: the solver plan
+    leaves it out, and keeps a larger one."""
+    mu, nu = line_pair((0, 4), (0, 5), floats=True)
+
+    def edit(solution, cost):
+        total, flows, u, v = solution
+        return total, dict(sorted({**flows, (0, 1): dust}.items())), u, v
+
+    fake_solver(monkeypatch, edit)
+    _, plan = wasserstein(mu, nu, 1)
+    cells = [(i, j) for i, j, _ in plan.entries]
+    assert cells == ([(0, 0), (0, 1), (1, 1)] if kept else [(0, 0), (1, 1)])
+
+
+def test_solver_plans_skip_the_marginal_check(monkeypatch):
+    """Every solver plan, exact or float, one-atom side or not, takes
+    the margins its solve checked; a plan from any other caller is
+    checked."""
+    calls = []
+    check = TransportPlan._check_marginals
+
+    def counting(self):
+        calls.append(self)
+        check(self)
+
+    monkeypatch.setattr(TransportPlan, "_check_marginals", counting)
+    rng = random.Random(23)
+    exact = (rand_measure(rng, 5), rand_measure(rng, 4))
+    floats = (float_measure(rng, 5), float_measure(rng, 4))
+    dirac = DiscreteMeasure.dirac(Point2(F(1), F(-2)))
+    pairs = (exact, floats, (dirac, exact[0]), (floats[1], dirac))
+    for mu, nu in pairs:
+        for p in (1, 2, F(3, 2)):
+            _, plan = wasserstein(mu, nu, p)
+            assert plan.exact is (mu.exact and nu.exact and p != F(3, 2))
+    assert calls == []
+    TransportPlan(*exact, wasserstein(*exact, 1)[1].entries)
+    assert len(calls) == 1
+
+
 def test_plan_decides_exactness_once():
     mu = DiscreteMeasure([(Point2(F(0), F(0)), F(1, 2)), (Point2(F(2), F(0)), F(1, 2))])
     nu = DiscreteMeasure.dirac(Point2(F(4), F(0)))

@@ -403,6 +403,39 @@ def test_converse_failure_names_its_candidate_around_y(monkeypatch):
     assert report.failures[0]["eta"] == ((Point2(F(3, 2), F(1, 2)), F(1)),)
 
 
+def test_dirac_char_converse_solves_the_reflection_of_mu(monkeypatch):
+    """The point reflection of mu about y lies at d_p(mu, delta_y) from
+    delta_y, so the converse solves the chain against it even where no
+    lattice candidate meets that filter; a chain that closed there would
+    be reported with the reflection around y."""
+    two = DiscreteMeasure([(Point2(F(0), F(0)), F(1, 3)), (Point2(F(2), F(1)), F(2, 3))])
+    # y, the one-third point, is (2/3, 1/3); the reflection is 2y - x
+    reflection = DiscreteMeasure(
+        [(Point2(F(4, 3), F(2, 3)), F(1, 3)), (Point2(F(-2, 3), F(-1, 3)), F(2, 3))]
+    )
+    monkeypatch.setattr(verify, "_eta_template", lambda span, p: ())
+    solve = verify.wasserstein_pow
+    solved = []
+
+    def spy(mu, eta, p):
+        solved.append(eta)
+        return solve(mu, eta, p)
+
+    monkeypatch.setattr(verify, "wasserstein_pow", spy)
+    report = check_dirac_char(two, [], 2)
+    assert report.passed and report.instances == 1
+    assert solved[0] == verify._ORIGIN_DIRAC and len(solved) == 2
+
+    def closing(mu, eta, p):
+        base = solve(mu, verify._ORIGIN_DIRAC, p)
+        return base if eta == verify._ORIGIN_DIRAC else 2**p * base
+
+    monkeypatch.setattr(verify, "wasserstein_pow", closing)
+    report = check_dirac_char(two, [], 2)
+    assert [f["kind"] for f in report.failures] == ["converse-chain"]
+    assert report.failures[0]["eta"] == reflection.atoms
+
+
 def test_importing_the_cli_solves_no_template():
     """The templates are solved at the first converse sweep, not at
     import, so a command that sweeps nothing pays nothing for them."""
