@@ -23,23 +23,23 @@ import argparse
 import functools
 import io
 import json
-import math
 import os
 import sys
-from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 from .geometry import DiagonalLine, Point2, require_in_square
 from .measure import DiscreteMeasure, GridMeasure
 from .scalars import (
+    _MAX_DIGITS,
     ConstraintError,
     ParseError,
+    _beyond_digit_bound,
     _fraction_from_str,
     root_p,
     scalar_to_json,
     to_exact,
 )
-from .transport import _MAX_COST_BITS, _solve
+from .transport import _solve
 from .verify import SUITES, run_suite
 from .wgeom import (
     displacement_interpolation,
@@ -50,20 +50,13 @@ from .wgeom import (
     symmetric_wp,
 )
 
-#: a p below 10**_MAX_P_DIGITS takes no more bits than an exact cost may
-_MAX_P_DIGITS = int(_MAX_COST_BITS * math.log10(2))
-
 
 def _parse_p(text: str, exact: bool):
-    try:
-        decimal = Decimal(text)
-    except InvalidOperation:
-        decimal = Decimal(0)  # 'a/b' text, or text Fraction rejects too
-    # judged on the text, before Fraction builds 10**|exponent|
-    if decimal.is_finite() and abs(decimal.adjusted()) >= _MAX_P_DIGITS:
-        if decimal < 1:
+    beyond = _beyond_digit_bound(text)
+    if beyond is not None:
+        if beyond < 1:
             raise ParseError("the exponent p must be at least 1")
-        raise ConstraintError(f"the exponent p has more than {_MAX_P_DIGITS} digits")
+        raise ConstraintError(f"the exponent p has more than {_MAX_DIGITS} digits")
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -108,21 +101,21 @@ def _load_json(path: str):
             return json.load(handle)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or UTF-8, or an int of too many digits
         raise ParseError(f"{path} is not valid JSON: {exc}")
     except RecursionError:
         raise ParseError(f"{path} is not valid JSON: nested too deeply") from None
 
 
 def _exactify(mu: DiscreteMeasure) -> DiscreteMeasure:
+    """mu in exact scalars, each float read through its shortest repr.
+    Those weights sum to 1 within 1e-12 only, so each is divided by
+    their exact sum."""
     if mu.exact:
         return mu
-    return DiscreteMeasure(
-        [
-            (Point2(to_exact(x.x1), to_exact(x.x2)), to_exact(w))
-            for x, w in mu.atoms
-        ]
-    )
+    atoms = [(Point2(to_exact(x.x1), to_exact(x.x2)), to_exact(w)) for x, w in mu.atoms]
+    total = sum(w for _, w in atoms)
+    return DiscreteMeasure([(x, w / total) for x, w in atoms])
 
 
 def _require_in_mode(points, what: str, args) -> None:

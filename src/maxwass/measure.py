@@ -26,18 +26,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import pairwise
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple
 
 from .geometry import (
-    L_MINUS,
     L_PLUS,
     DiagonalLine,
     Point2,
     diagonal_line_through,
-    dm,
     point_for_message,
-    project_point,
 )
 from .scalars import (
     ConstraintError,
@@ -340,16 +338,25 @@ def phi_t(param: KloecknerParam, t: Scalar) -> KloecknerParam:
     return KloecknerParam(param.m, param.sigma, param.r + t)
 
 
+def _grid_axes(mu: DiscreteMeasure) -> tuple[list[Scalar], list[Scalar]]:
+    """Every atom's diagonal coordinates, as lists ts and ss: t = (x1+x2)/2
+    and s = (x1-x2)/2 are the first coordinates of its feet on L+ and L-,
+    and the atom is (t + s, t - s).  A ConstraintError unless the
+    weights, the ts and the ss are each pairwise distinct."""
+    ts = [halve(x1 + x2) for (x1, x2), _ in mu.atoms]
+    ss = [halve(x1 - x2) for (x1, x2), _ in mu.atoms]
+    if any(len(set(v)) != len(v) for v in (mu.weights(), ts, ss)):
+        raise ConstraintError("grid construction needs a general-position measure")
+    return ts, ss
+
+
 def in_family_F(mu: DiscreteMeasure) -> bool:
     """General position for Radon inversion: pairwise-distinct weights
     and pairwise-distinct projections on both diagonal axes."""
-    ws = mu.weights()
-    if len(set(ws)) != len(ws):
+    try:
+        _grid_axes(mu)
+    except ConstraintError:
         return False
-    for line in (L_PLUS, L_MINUS):
-        projs = [project_point(line, x) for x in mu.points()]
-        if len(set(projs)) != len(projs):
-            return False
     return True
 
 
@@ -357,20 +364,22 @@ def in_family_F(mu: DiscreteMeasure) -> bool:
 # measures on the projection grid of a general-position measure
 
 def family_grid(mu: DiscreteMeasure) -> tuple[tuple[Point2, ...], ...]:
-    """The N x N grid z[i][j] cut out by the projection preimages of mu.
+    """The N x N grid z[i][j] = (t_i + s_j, t_i - s_j) cut out by the
+    projection preimages of mu, on its axes `_grid_axes(mu)`.
 
     z[i][j] is the unique point sharing its slope-+1 projection with
     atom i and its slope--1 projection with atom j; in particular
     z[i][i] is atom i itself.
     """
-    if not in_family_F(mu):
-        raise ConstraintError("grid construction needs a general-position measure")
-    pts = mu.points()
-    ts = [project_point(L_PLUS, x).x1 for x in pts]
-    ss = [project_point(L_MINUS, x).x1 for x in pts]
-    return tuple(
-        tuple(Point2(t + s, t - s) for s in ss) for t in ts
-    )
+    ts, ss = _grid_axes(mu)
+    return tuple(tuple(Point2(t + s, t - s) for s in ss) for t in ts)
+
+
+def _least_gap(ts: list[Scalar], ss: list[Scalar]) -> Scalar:
+    """The least dm between two grid points: z[i][j] and z[k][l] lie
+    |t_i - t_k| + |s_j - s_l| apart, so it is the least gap between
+    neighbours in sorted ts or in sorted ss."""
+    return min(b - a for v in (ts, ss) for a, b in pairwise(sorted(v)))
 
 
 @dataclass(frozen=True)
@@ -396,13 +405,15 @@ class GridMeasure:
                 raise ConstraintError("grid weights must be nonnegative")
             if sum(row) != target[i]:
                 raise ConstraintError(
-                    f"row {i} sums to {for_message(sum(row))}, expected {target[i]}"
+                    f"row {i} sums to {for_message(sum(row))}, "
+                    f"expected {for_message(target[i])}"
                 )
         for j in range(n):
             col = sum(rows[i][j] for i in range(n))
             if col != target[j]:
                 raise ConstraintError(
-                    f"column {j} sums to {for_message(col)}, expected {target[j]}"
+                    f"column {j} sums to {for_message(col)}, "
+                    f"expected {for_message(target[j])}"
                 )
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "weights", rows)
@@ -419,15 +430,7 @@ class GridMeasure:
 
     def min_grid_gap(self) -> Scalar:
         """Smallest pairwise distance between grid points."""
-        z = self.grid_points()
-        flat = [p for row in z for p in row]
-        gaps = [
-            dm(a, b)
-            for k, a in enumerate(flat)
-            for b in flat[k + 1:]
-            if a != b
-        ]
-        return min(gaps)
+        return _least_gap(*_grid_axes(self.base))
 
     def to_json_dict(self) -> dict:
         return {

@@ -18,6 +18,16 @@ Scalar = Union[int, float, Fraction]
 #: atoms closer than this merge into one support point in float mode
 MERGE_TOL = 1e-12
 
+#: the most bits an exact cost dm^q or its scale L^q may take; far
+#: beyond any instance of interest, and it keeps a huge p from
+#: building numbers that exhaust memory or time
+_MAX_COST_BITS = 1 << 16
+
+#: scalar text is read only when its leading digit lies fewer places
+#: than this from the units digit: 10**_MAX_DIGITS takes about as many
+#: bits as an exact cost may
+_MAX_DIGITS = int(_MAX_COST_BITS * math.log10(2))
+
 
 class ConstraintError(ValueError):
     """A documented precondition was violated (CLI exit code 3)."""
@@ -58,6 +68,24 @@ def to_exact(v) -> Fraction:
     return Fraction(v)
 
 
+def _beyond_digit_bound(text: str) -> Decimal | None:
+    """The value of decimal text whose leading digit lies _MAX_DIGITS
+    places or more from the units digit, None for any other text.  It is
+    judged on the text, before Fraction builds 10**|exponent|; an
+    exponent beyond 10**9 reads as 10**9, as Decimal reads none beyond
+    10**18."""
+    head, e, tail = text.lower().rpartition("e")
+    try:
+        if e:
+            text = f"{head}e{max(-10**9, min(int(tail), 10**9))}"
+        d = Decimal(text)
+    except (ValueError, InvalidOperation):
+        return None  # 'a/b' text, or text Fraction rejects too
+    if d.is_finite() and abs(d.adjusted()) >= _MAX_DIGITS:
+        return d
+    return None
+
+
 def _fraction_from_str(s: str) -> Fraction:
     # plain ASCII 'n' and 'n/d' skip Fraction's regular expression; any
     # other text, a zero d and more digits than int() reads go the long way
@@ -67,6 +95,11 @@ def _fraction_from_str(s: str) -> Fraction:
             return Fraction(int(num), int(den or 1))
         except (ValueError, ZeroDivisionError):
             pass
+    beyond = _beyond_digit_bound(s)
+    if beyond is not None:
+        if beyond.is_zero():
+            return Fraction(0)
+        raise ConstraintError(f"scalar {s!r} has more than {_MAX_DIGITS} digits")
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError):

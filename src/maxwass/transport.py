@@ -60,6 +60,7 @@ from typing import NamedTuple
 from .measure import DiscreteMeasure
 from .netsimplex import solve_transportation
 from .scalars import (
+    _MAX_COST_BITS,
     ConstraintError,
     Scalar,
     is_exact,
@@ -98,12 +99,6 @@ def _cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, fp: float):
         [float(max(abs(x1 - y1), abs(x2 - y2))) ** fp for y1, y2 in cols]
         for x1, x2 in mu.points()
     ]
-
-
-#: the most bits an exact cost dm^q or its scale L^q may take; far
-#: beyond any instance of interest, and it keeps a huge p from
-#: building numbers that exhaust memory or time
-_MAX_COST_BITS = 1 << 16
 
 
 def _integer_instance(mu: DiscreteMeasure, nu: DiscreteMeasure, q: int):

@@ -23,11 +23,10 @@ from .geometry import (
     Point2,
     dilate,
     direction_alloc,
-    dm,
     project_point,
     same_diagonal,
 )
-from .measure import DiscreteMeasure, GridMeasure, in_family_F, push_forward
+from .measure import DiscreteMeasure, GridMeasure, _grid_axes, _least_gap, push_forward
 from .scalars import ConstraintError, Scalar, for_message, is_exact, scalar_to_json
 from .transport import wasserstein_pow
 
@@ -183,10 +182,14 @@ def grid_perturbation(
     plus diagonal at distance 0 < c0 < c/2 from that row's projection,
     where c is the smallest gap between grid points.  When x_prime is
     omitted it is placed at distance c/offset_denominator from that
-    projection (so the denominator must exceed 2).
+    projection (so the denominator must exceed 2).  mu's diagonal
+    coordinates ts, ss (`_grid_axes`, read once) give c in closed form
+    and every point used, each a crossing (t + s, t - s).
     """
-    if not in_family_F(mu):
-        raise ConstraintError("the defining measure must be in general position")
+    try:
+        ts, ss = _grid_axes(mu)
+    except ConstraintError:
+        raise ConstraintError("the defining measure must be in general position") from None
     if xi.base != mu:
         raise ConstraintError("xi must live on the projection grid of mu")
     xi_exact = all(is_exact(w) for row in xi.weights for w in row)
@@ -214,53 +217,42 @@ def grid_perturbation(
     if not (a < weights[row_star][j1] and a < weights[row_star][j2]):
         raise ConstraintError(
             "a must stay below both doubled-row weights "
-            f"{weights[row_star][j1]} and {weights[row_star][j2]}"
+            f"{for_message(weights[row_star][j1])} and "
+            f"{for_message(weights[row_star][j2])}"
         )
 
-    pts = mu.points()
-    plus_feet = [project_point(L_PLUS, x) for x in pts]
-    c = xi.min_grid_gap()
+    t_star = ts[row_star]
+    c = _least_gap(ts, ss)
     if x_prime is None:
         if offset_denominator <= 2:
             raise ConstraintError(
                 "the automatic offset c/denominator needs a denominator above 2"
             )
         step = Fraction(c, offset_denominator)
-        foot = plus_feet[row_star]
-        x_prime = Point2(foot.x1 + step, foot.x2 + step)
-    c0 = dm(plus_feet[row_star], x_prime)
+        x_prime = Point2(t_star + step, t_star + step)
+    c0 = abs(x_prime.x1 - t_star)
     if not (0 < c0 and 2 * c0 < c):
         raise ConstraintError(
             f"x_prime must sit at distance 0 < c0 < c/2 from the doubled row "
             f"(c0 = {for_message(c0)}, c = {for_message(c)})"
         )
 
-    # new grid row 0: points pairing x_prime's plus-class with existing
-    # minus-classes: z0[j] = crossing of the two projection preimages
-    tau = x_prime.x1
-    minus_feet = [project_point(L_MINUS, x) for x in pts]
-    z0 = [Point2(tau + f.x1, tau - f.x1) for f in minus_feet]
+    # z[i][j] for i < n is the grid; the new row z[n] pairs x_prime's
+    # plus-class with the existing minus-classes
+    z = [[Point2(t + s, t - s) for s in ss] for t in (*ts, x_prime.x1)]
 
     # GridMeasure rows follow mu's atom order, so row_star indexes mu.atoms
     mu_atoms = [
         (x, w - a if i == row_star else w) for i, (x, w) in enumerate(mu.atoms)
     ]
-    mu_atoms.append((z0[row_star], a))
+    mu_atoms.append((z[n][row_star], a))
     mu_prime = DiscreteMeasure(mu_atoms)
 
-    z = xi.grid_points()
-
     def perturbed_nu(j_move: int) -> DiscreteMeasure:
-        atoms = []
-        for i in range(n):
-            for j in range(n):
-                w = weights[i][j]
-                if w == 0:
-                    continue
-                if i == row_star and j == j_move:
-                    w = w - a
-                atoms.append((z[i][j], w))
-        atoms.append((z0[j_move], a))
+        # the measure drops the cells of weight 0
+        atoms = [(z[i][j], weights[i][j]) for i in range(n) for j in range(n)]
+        atoms[row_star * n + j_move] = (z[row_star][j_move], weights[row_star][j_move] - a)
+        atoms.append((z[n][j_move], a))
         return DiscreteMeasure(atoms)
 
     nu1_prime = perturbed_nu(j1)

@@ -142,9 +142,10 @@ def test_dist_exact_power_beyond_float_range(fmt):
         ["--dirac", "0,0", "--dirac", "100,0", "--p", "3000", "--format", "csv"],
         ["--dirac", "0,0", "--dirac", "2,0", "--p", "1e30000000"],
         ["--dirac", "0,0", "--dirac", "2,0", "--p", "1" + "0" * 400 + ".5"],
+        ["--dirac", "0,0", "--dirac", "2,0", "--p", "1e99999999999999999999"],
     ],
     ids=["p-1e400", "p-1e8", "3000-exact", "3000-json", "3000-csv", "p-1e30000000",
-         "p-fractional-1e400"],
+         "p-fractional-1e400", "p-exponent-beyond-decimal-range"],
 )
 def test_dist_huge_exact_power_is_constraint_error(args):
     """A cost dm^p too large to build, an exact result too long to
@@ -156,6 +157,17 @@ def test_dist_huge_exact_power_is_constraint_error(args):
     assert out.stdout == ""
     assert out.stderr.startswith("error: ")
     assert out.stderr.count("\n") == 1
+
+
+def test_dist_tiny_exponent_beyond_decimal_range_is_parse_error_at_once():
+    """Decimal reads no exponent beyond 10**18, and Fraction would build
+    10**|exponent|: the digit bound still judges the text."""
+    out = run_cli(
+        "dist", "--dirac", "0,0", "--dirac", "2,0", "--p", "1e-99999999999999999999",
+        timeout=20,
+    )
+    assert out.returncode == 2
+    assert out.stderr == "error: the exponent p must be at least 1\n"
 
 
 def test_dist_tiny_exponent_text_is_parse_error_at_once():
@@ -417,6 +429,12 @@ def test_dist_float_one_atom_plan_prints_float_weights(order, tmp_path, capsys):
     assert [row["weight"] for row in rows] == [repr(1 / 3), repr(2 / 3)]
 
 
+#: two atoms whose weights have 5,000 decimals, more digits than Python prints
+_TINY_ATOMS = [
+    {"x": ["0", "0"], "w": "0.3" + "0" * 4997 + "1"},
+    {"x": ["1", "0"], "w": "0.6" + "9" * 4998},
+]
+
 _HOSTILE_FILES = {
     "big.json": json.dumps({"atoms": _BEYOND_FLOAT_RANGE["big"]}),
     "b2.json": json.dumps({"atoms": _BEYOND_FLOAT_RANGE["b2"]}),
@@ -425,6 +443,13 @@ _HOSTILE_FILES = {
     "nan.json": '{"atoms": [{"x": [NaN, 0], "w": 1}]}',
     "e999.json": '{"atoms": [{"x": [1e999, 0], "w": 1}]}',
     "digits.json": json.dumps({"atoms": [{"x": ["1" * 5000, "0"], "w": "1"}]}),
+    "int5001.json": '{"atoms": [{"x": [%s, 0], "w": 1}]}' % ("1" * 5001),
+    "e99.json": json.dumps({"atoms": [{"x": ["1e99999999", "0"], "w": "1"}]}),
+    "tiny.json": json.dumps({"atoms": _TINY_ATOMS}),
+    "bad-utf8.json": b'{"atoms": [{"x": ["\xff", 0], "w": 1}]}',
+    "tgrid.json": json.dumps(
+        {"base": {"atoms": _TINY_ATOMS}, "weights": [["1/2", "0"], ["0", "1/2"]]}
+    ),
 }
 
 
@@ -441,15 +466,23 @@ _HOSTILE_FILES = {
         ["dist", "{d}/nan.json", "--dirac", "0,0"],
         ["dist", "{d}/e999.json", "--dirac", "0,0"],
         ["radon", "{d}/digits.json"],
+        ["dist", "{d}/int5001.json", "--dirac", "0,0"],
+        ["dist", "{d}/e99.json", "--dirac", "0,0", "--p", "1"],
+        ["dist", "--dirac", "1e99999999,0", "--dirac", "0,0"],
+        ["interp", "--dirac", "0,0", "--corner", "0,0", "--s", "1e-99999999"],
+        ["perturb", "{d}/tiny.json", "--a", "1/10", "--grid", "{d}/tgrid.json"],
+        ["radon", "{d}/bad-utf8.json"],
     ],
     ids=["overflow-symmetric-center", "overflow-radon", "overflow-symmetric-line",
-         "overflow-dist", "plan-no-dir", "plan-a-dir", "nesting", "nan", "1e999", "5000-digits"],
+         "overflow-dist", "plan-no-dir", "plan-a-dir", "nesting", "nan", "1e999", "5000-digits",
+         "5001-digit-json-int", "1e99999999-json", "1e99999999-dirac", "1e-99999999-s",
+         "grid-message-digits", "bad-utf8"],
 )
 def test_hostile_input_fails_without_traceback(args, tmp_path):
     """Bad input ends in one error line and exit 2 or 3, never in a
     traceback, an exit code of 1 or anything on stdout."""
     for name, text in _HOSTILE_FILES.items():
-        (tmp_path / name).write_text(text)
+        (tmp_path / name).write_bytes(text if isinstance(text, bytes) else text.encode())
     out = run_cli(*[a.format(d=tmp_path) for a in args], timeout=60)
     assert out.returncode in (2, 3), out.stderr
     assert out.stdout == ""
@@ -777,12 +810,50 @@ def test_dist_that_cannot_print_its_power_writes_no_plan(fmt, tmp_path, capsys):
     assert plan.read_bytes().decode() == capsys.readouterr().out
 
 
+def test_dist_exact_reads_float_weights(tmp_path, capsys):
+    """Float weights r/total pass the measure's 1e-12 sum check, but
+    their shortest reprs sum to 49999999999999999/50000000000000000:
+    --exact divides each by that exact sum."""
+    rs = [3, 5, 7, 11, 13]
+    weights = [r / sum(rs) for r in rs]
+    reprs = [Fraction(repr(w)) for w in weights]
+    assert sum(reprs) != 1
+    points = [(Fraction(k, 8), Fraction(k * k % 7 - 3, 8)) for k in range(5)]
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"atoms": [
+        {"x": [float(x1), float(x2)], "w": w} for (x1, x2), w in zip(points, weights)
+    ]}))
+    argv = ["dist", str(path), "--dirac", "1/8,-3/8"]
+    assert cli.main([*argv, "--exact"]) == 0
+    mu = DiscreteMeasure(
+        [(geometry.Point2(*x), w / sum(reprs)) for x, w in zip(points, reprs)]
+    )
+    dirac = DiscreteMeasure.dirac(geometry.Point2(Fraction(1, 8), Fraction(-3, 8)))
+    assert capsys.readouterr().out == f"{transport.wasserstein_pow(mu, dirac, 2)}\n"
+    # decimals that sum to 1 already read as their rational twins
+    for w in ([0.25, 0.75], ["1/4", "3/4"]):
+        path.write_text(json.dumps({"atoms": [
+            {"x": [0.5, 0], "w": w[0]}, {"x": ["-1/4", "1"], "w": w[1]},
+        ]}))
+        assert cli.main([*argv, "--exact"]) == 0
+    first, second = capsys.readouterr().out.splitlines()
+    assert first == second
+
+
 def test_project_closed_form():
     out = run_cli("project", "--dirac", "1,0", "--line", "+,1", "--exact",
                   "--format", "json")
     assert out.returncode == 0
     data = json.loads(out.stdout)
     assert data["atoms"] == [{"w": "1", "x": ["0", "1"]}]
+
+
+def test_project_line_offset_zero_with_a_huge_exponent_is_zero(capsys):
+    argv = ["project", "--dirac", "2,0", "--format", "csv", "--line"]
+    assert cli.main([*argv, "+,0e99999999"]) == 0
+    huge = capsys.readouterr().out
+    assert cli.main([*argv, "+,0"]) == 0
+    assert huge == capsys.readouterr().out == "x1,x2,weight\n1,1,1\n"
 
 
 def test_project_csv_format():
@@ -889,6 +960,27 @@ def test_perturb_reads_float_json_as_exact(tmp_path, fmt, capsys):
         assert cli.main(["perturb", str(path), "--a", "1/100", "--format", fmt]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
+
+
+def test_perturb_on_sixty_atoms_is_quick(tmp_path):
+    """The grid gap is read off the sorted diagonal coordinates: the
+    pairwise form took about a minute on 60 atoms."""
+    rng = random.Random(60)
+    ts = rng.sample(range(-400, 400), 60)
+    ss = rng.sample(range(-400, 400), 60)
+    rs = rng.sample(range(1, 600), 60)
+    atoms = [
+        {"x": [str(Fraction(t + s, 16)), str(Fraction(t - s, 16))],
+         "w": str(Fraction(r, sum(rs)))}
+        for t, s, r in zip(ts, ss, rs)
+    ]
+    path = tmp_path / "g60.json"
+    path.write_text(json.dumps({"atoms": atoms}))
+    out = run_cli("perturb", str(path), "--a", "1/10000000000000", timeout=20)
+    assert out.returncode == 0, out.stderr
+    data = json.loads(out.stdout)
+    assert len(data["mu_prime"]["atoms"]) == 61
+    assert len(data["nu1_prime"]["atoms"]) == 60 * 60 + 1
 
 
 def test_perturb_rejects_large_mass(measures):

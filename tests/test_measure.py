@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxwass.geometry import DiagonalLine, L_PLUS, Point2, diagonal_line_through
+from maxwass.geometry import DiagonalLine, L_PLUS, Point2, diagonal_line_through, dm
 from maxwass.measure import (
     DiscreteMeasure,
     GridMeasure,
@@ -194,6 +194,57 @@ def test_grid_measure_to_measure_and_gap():
     assert again.base == mu and again.weights == xi.weights
 
 
+@st.composite
+def general_position_measures(draw):
+    """Exact measures of 1 to 6 atoms on a 1/4 grid with pairwise-distinct
+    weights, x1 + x2 and x1 - x2."""
+    n = draw(st.integers(1, 6))
+    ts = draw(st.lists(st.integers(-40, 40), min_size=n, max_size=n, unique=True))
+    ss = draw(st.lists(st.integers(-40, 40), min_size=n, max_size=n, unique=True))
+    # atoms at ((t + s)/4, (t - s)/4) have x1 + x2 = t/2 and x1 - x2 = s/2
+    rs = draw(st.lists(st.integers(1, 50), min_size=n, max_size=n, unique=True))
+    return DiscreteMeasure(
+        (Point2(F(t + s, 4), F(t - s, 4)), F(r, sum(rs))) for t, s, r in zip(ts, ss, rs)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(mu=general_position_measures())
+def test_min_grid_gap_is_least_pairwise_grid_distance(mu):
+    """The closed form against the pairwise reference: the least dm over
+    every two distinct family_grid points."""
+    assert in_family_F(mu)
+    w = mu.weights()
+    xi = GridMeasure(mu, [[wi * wj for wj in w] for wi in w])
+    flat = [p for row in family_grid(mu) for p in row]
+    gaps = [dm(a, b) for k, a in enumerate(flat) for b in flat[k + 1:] if a != b]
+    if gaps:
+        assert xi.min_grid_gap() == min(gaps)
+    else:
+        with pytest.raises(ValueError):
+            xi.min_grid_gap()
+
+
+def test_grid_on_a_non_general_base_is_constraint_error():
+    mu = DiscreteMeasure([(Point2(F(0), F(0)), F(1, 3)), (Point2(F(1), F(1)), F(2, 3))])
+    xi = GridMeasure(mu, [[F(1, 3), F(0)], [F(0), F(2, 3)]])
+    for call in (xi.min_grid_gap, xi.grid_points):
+        with pytest.raises(ConstraintError, match="general-position"):
+            call()
+
+
+def test_grid_messages_print_long_numbers_as_a_phrase():
+    """Row and column sums of weights whose text Python will not print
+    name the number by a phrase, not by a ValueError."""
+    w1 = F(1, 3) + F(1, 10**5000)
+    mu = DiscreteMeasure([(Point2(F(0), F(0)), w1), (Point2(F(1), F(0)), 1 - w1)])
+    phrase = "a number of more digits than Python prints"
+    with pytest.raises(ConstraintError, match=f"^row 0 sums to 1/2, expected {phrase}$"):
+        GridMeasure(mu, [[F(1, 2), F(0)], [F(0), F(1, 2)]])
+    with pytest.raises(ConstraintError, match=f"^column 0 sums to {phrase}, expected {phrase}$"):
+        GridMeasure(mu, [[F(0), w1], [1 - w1, F(0)]])
+
+
 def test_diagonal_line_detection():
     mu = DiscreteMeasure(
         [(Point2(F(0), F(1)), F(1, 2)), (Point2(F(2), F(-1)), F(1, 2))]
@@ -259,6 +310,37 @@ def test_plain_scalar_strings_parse_as_fraction_does(text):
 def test_other_scalar_strings_parse_as_before(text, value):
     parsed = parse_scalar(text)
     assert type(parsed) is F and parsed == value
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["0e99999999", "-0E-99999999", "0.000e999999999999999999999", "0e+" + "9" * 40],
+)
+def test_zero_with_any_exponent_reads_as_zero(text):
+    parsed = parse_scalar(text)
+    assert type(parsed) is F and parsed == 0
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1e99999999", "-1e-99999999", "2.5E+19728", "1e-19729", "1e" + "9" * 40, "1" * 19729],
+    ids=["1e99999999", "-1e-99999999", "2.5E+19728", "1e-19729", "1e40-nines", "19729-ones"],
+)
+def test_scalar_text_beyond_the_digit_bound_is_constraint_error(text):
+    """Judged on the text: Fraction would build 10**|exponent| first, and
+    an exponent beyond Decimal's own range would never finish."""
+    with pytest.raises(ConstraintError, match=r"^scalar .* has more than 19728 digits$"):
+        parse_scalar(text)
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [("1e19727", F(10**19727)), ("-1e-19727", F(-1, 10**19727)),
+     ("1" * 19728, F((10**19728 - 1) // 9))],
+    ids=["1e19727", "-1e-19727", "19728-ones"],
+)
+def test_scalar_text_within_the_digit_bound_reads_exactly(text, value):
+    assert parse_scalar(text) == value
 
 
 @pytest.mark.parametrize("text", ["3/0", "5/", "/5", "-", "--5", "1/-2", "0x10"])
