@@ -35,6 +35,7 @@ from .scalars import (
     ParseError,
     _beyond_digit_bound,
     _fraction_from_str,
+    quoted,
     root_p,
     scalar_to_json,
     to_exact,
@@ -60,7 +61,7 @@ def _parse_p(text: str, exact: bool):
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise ParseError(f"cannot read exponent {text!r}")
+        raise ParseError(f"cannot read exponent {quoted(text)}")
     if value < 1:
         raise ParseError("the exponent p must be at least 1")
     if value.denominator == 1:
@@ -81,7 +82,7 @@ def _resolve_seed(args) -> int:
         try:
             return int(env)
         except ValueError:
-            raise ParseError(f"MAXWASS_SEED must be an integer, got {env!r}")
+            raise ParseError(f"MAXWASS_SEED must be an integer, got {quoted(env)}")
     return args.seed
 
 
@@ -91,7 +92,7 @@ def _resolve_seed(args) -> int:
 def _parse_point(text: str) -> Point2:
     parts = [part.strip() for part in text.split(",")]
     if len(parts) != 2:
-        raise ParseError(f"expected a point as 'x1,x2', got {text!r}")
+        raise ParseError(f"expected a point as 'x1,x2', got {quoted(text)}")
     return Point2(_fraction_from_str(parts[0]), _fraction_from_str(parts[1]))
 
 
@@ -576,11 +577,13 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        message, code = exc, 2
     except ConstraintError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        message, code = exc, 3
+    except OverflowError:  # float arithmetic on an exact value beyond the float range
+        message, code = "a value lies beyond the float range; --exact computes it exactly", 3
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 def console_main() -> None:

@@ -27,6 +27,7 @@ from .scalars import (
     halve,
     is_exact,
     parse_scalar,
+    quoted,
     scalar_to_json,
 )
 
@@ -101,7 +102,7 @@ class DiagonalLine:
         """Parse '+,a' / '-,a' shorthand, e.g. '+,0' or '-,1/2'."""
         parts = text.split(",", 1)
         if len(parts) != 2 or parts[0] not in ("+", "-"):
-            raise ParseError(f"expected '+,<a>' or '-,<a>', got {text!r}")
+            raise ParseError(f"expected '+,<a>' or '-,<a>', got {quoted(text)}")
         return cls(1 if parts[0] == "+" else -1, parse_scalar(parts[1]))
 
 

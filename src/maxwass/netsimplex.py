@@ -38,12 +38,15 @@ reduced cost of the first block that has one enters.  A basic cell
 never does, as its reduced cost is 0 (on floats, within rounding far
 below the tolerance).  The cycle is found by climbing from the end of
 the entering cell with the smaller subtree.  A pivot updates the index
-as LEMON does: only the stem, the tree path from the entering cell up
-to the leaving cell, reverses, each of its flows passing to the node
-below, and the subtree the leaving cell cuts off moves in the thread
-as a whole.  Its potentials are then recomputed along the thread from
-the costs of the tree cells, so float potentials equal a full rebuild
-from the root and never drift.  The pivot count is capped at a
+by one stem reversal, as LEMON does in general: only the stem, the
+tree path from the entering cell up to the leaving cell, reverses,
+each of its flows passing to the node below, and the subtree the
+leaving cell cuts off moves in the thread as a whole.  When the
+leaving cell joins an end of the entering cell to that end's parent,
+the stem is empty, and the pivot takes the same path.  The moved
+subtree's potentials are then recomputed along the thread from the
+costs of the tree cells, so float potentials equal a full rebuild from
+the root and never drift.  The pivot count is capped at a
 multiple of m*n, far above what the instances here need (under m*n/5
 on 20x20 and 40x40 1/8-grid ones).
 
@@ -217,8 +220,9 @@ def solve_transportation(cost, supply, demand, tol=0):
         # the way up, whose subtree holds column je.  That subtree now
         # hangs from the entering cell by its end `top`, so the stem from
         # `top` up to `out` reverses, each cell's flow passing to the node
-        # below it and `top` taking the entering flow theta.  The index
-        # follows LEMON's updateTreeStructure.
+        # below it and `top` taking the entering flow theta; when `top` is
+        # `out` the stem is empty and only `out` changes parent.  The
+        # index follows the general case of LEMON's updateTreeStructure.
         if out < m:
             top, under = ie, ce
         else:
@@ -227,74 +231,60 @@ def solve_transportation(cost, supply, demand, tol=0):
         old_rev_thread = rev_thread[out]
         old_succ_num = succ_num[out]
         old_last_succ = last_succ[out]
-        if top == out:
-            parent[top] = under
-            flow[top] = theta
-            if thread[under] != out:
-                # move the subtree of `out` in the thread to after `under`
-                after = thread[old_last_succ]
-                thread[old_rev_thread] = after
-                rev_thread[after] = old_rev_thread
-                after = thread[under]
-                thread[under] = out
-                rev_thread[out] = under
-                thread[old_last_succ] = after
-                rev_thread[after] = old_last_succ
+        # after the moved subtree the thread goes on where it went on
+        # after `under`; when `under` came right before `out`, that is
+        # after the old subtree of `out`
+        if old_rev_thread == under:
+            thread_continue = thread[old_last_succ]
         else:
-            # after the moved subtree the thread goes on where it went on
-            # after `under`; when `under` came right before `out`, that is
-            # after the old subtree of `out`
-            if old_rev_thread == under:
-                thread_continue = thread[old_last_succ]
+            thread_continue = thread[under]
+        # thread the stem nodes after `under`, each one's remaining
+        # subtree followed by the next stem node, and give each its
+        # new parent
+        stem, par_stem = top, under
+        last = last_succ[top]
+        after = thread[last]
+        thread[under] = top
+        dirty = [under]  # nodes whose thread successor changed
+        while stem != out:
+            next_stem = parent[stem]
+            thread[last] = next_stem
+            dirty.append(last)
+            before = rev_thread[stem]
+            thread[before] = after
+            rev_thread[after] = before
+            parent[stem] = par_stem
+            par_stem = stem
+            stem = next_stem
+            # the subtree of the new stem node, less the part below
+            # par_stem, ends where par_stem's began if both ended alike
+            if last_succ[stem] == last_succ[par_stem]:
+                last = rev_thread[par_stem]
             else:
-                thread_continue = thread[under]
-            # thread the stem nodes after `under`, each one's remaining
-            # subtree followed by the next stem node, and give each its
-            # new parent
-            stem, par_stem = top, under
-            last = last_succ[top]
+                last = last_succ[stem]
             after = thread[last]
-            thread[under] = top
-            dirty = [under]  # nodes whose thread successor changed
-            while stem != out:
-                next_stem = parent[stem]
-                thread[last] = next_stem
-                dirty.append(last)
-                before = rev_thread[stem]
-                thread[before] = after
-                rev_thread[after] = before
-                parent[stem] = par_stem
-                par_stem = stem
-                stem = next_stem
-                # the subtree of the new stem node, less the part below
-                # par_stem, ends where par_stem's began if both ended alike
-                if last_succ[stem] == last_succ[par_stem]:
-                    last = rev_thread[par_stem]
-                else:
-                    last = last_succ[stem]
-                after = thread[last]
-            parent[out] = par_stem
-            thread[last] = thread_continue
-            rev_thread[thread_continue] = last
-            last_succ[out] = last
-            if old_rev_thread != under:
-                thread[old_rev_thread] = after
-                rev_thread[after] = old_rev_thread
-            for x in dirty:
-                rev_thread[thread[x]] = x
-            # down the reversed stem from `out` to `top`: flows, subtree
-            # sizes and the shared last node
-            size = 0
-            x = out
-            while x != top:
-                p = parent[x]
-                flow[x] = flow[p]
-                size += succ_num[x] - succ_num[p]
-                succ_num[x] = size
-                last_succ[p] = last
-                x = p
-            flow[top] = theta
-            succ_num[top] = old_succ_num
+        parent[out] = par_stem
+        thread[last] = thread_continue
+        rev_thread[thread_continue] = last
+        last_succ[out] = last
+        if old_rev_thread != under:
+            thread[old_rev_thread] = after
+            rev_thread[after] = old_rev_thread
+        for x in dirty:
+            rev_thread[thread[x]] = x
+        # down the reversed stem from `out` to `top`: flows, subtree
+        # sizes and the shared last node
+        size = 0
+        x = out
+        while x != top:
+            p = parent[x]
+            flow[x] = flow[p]
+            size += succ_num[x] - succ_num[p]
+            succ_num[x] = size
+            last_succ[p] = last
+            x = p
+        flow[top] = theta
+        succ_num[top] = old_succ_num
 
         # the subtrees that ended at `under` now end with the moved
         # subtree; below the apex, those that ended with the old subtree
@@ -306,16 +296,11 @@ def solve_transportation(cost, supply, demand, tol=0):
         while x != -1 and last_succ[x] == under:
             last_succ[x] = new_last
             x = parent[x]
-        if apex != old_rev_thread and under != old_rev_thread:
-            x = out_parent
-            while x != up_limit and last_succ[x] == old_last_succ:
-                last_succ[x] = old_rev_thread
-                x = parent[x]
-        elif new_last != old_last_succ:
-            x = out_parent
-            while x != up_limit and last_succ[x] == old_last_succ:
-                last_succ[x] = new_last
-                x = parent[x]
+        out_last = old_rev_thread if old_rev_thread not in (apex, under) else new_last
+        x = out_parent
+        while x != up_limit and last_succ[x] == old_last_succ:
+            last_succ[x] = out_last
+            x = parent[x]
         x = under
         while x != apex:
             succ_num[x] += old_succ_num

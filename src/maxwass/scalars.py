@@ -46,6 +46,12 @@ def for_message(v, form=str) -> str:
         return "a number of more digits than Python prints"
 
 
+def quoted(text: str) -> str:
+    """repr(text), input text in an error message; text of over 60
+    characters shows its start and its length instead."""
+    return repr(text) if len(text) <= 60 else f"{text[:20]!r}... ({len(text)} characters)"
+
+
 #: nearly every exact scalar is one of these; a type test by identity is
 #: cheaper than the isinstance checks, which still decide for subclasses
 _EXACT_TYPES = frozenset((int, Fraction))
@@ -99,7 +105,7 @@ def _fraction_from_str(s: str) -> Fraction:
     if beyond is not None:
         if beyond.is_zero():
             return Fraction(0)
-        raise ConstraintError(f"scalar {s!r} has more than {_MAX_DIGITS} digits")
+        raise ConstraintError(f"scalar {quoted(s)} has more than {_MAX_DIGITS} digits")
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError):
@@ -107,9 +113,9 @@ def _fraction_from_str(s: str) -> Fraction:
     try:
         d = Decimal(s)
     except InvalidOperation:
-        raise ParseError(f"cannot parse scalar string {s!r}") from None
+        raise ParseError(f"cannot parse scalar string {quoted(s)}") from None
     if not d.is_finite():
-        raise ParseError(f"scalar {s!r} is not finite")
+        raise ParseError(f"scalar {quoted(s)} is not finite")
     return Fraction(d)
 
 

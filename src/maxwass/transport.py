@@ -43,9 +43,8 @@ Uniqueness of the optimal coupling (`is_unique_optimal_plan`) takes two
 certified solves: the problem itself, then a probe on the same margins
 whose costs come from the first solve's reduced costs and plan, and
 whose minimum is 0 iff that plan is the only optimal coupling.  It
-costs about twice a solve.  Where a side has one atom the first solve
-decides it alone: the product plan is the only coupling, and its
-certificate proved it feasible.
+costs about twice a solve.  Where a side has one atom both solves take
+the product plan, which uses every cell, so every probe cost is 0.
 """
 
 from __future__ import annotations
@@ -499,8 +498,8 @@ def is_unique_optimal_plan(mu: DiscreteMeasure, nu: DiscreteMeasure, p=2) -> boo
     second vertex on the optimal face, and that vertex leaves S: x is a
     vertex, so S is a forest, on which the margins fix the flows.  So
     the minimum is 0 iff x is the only optimal coupling.  Where a side
-    has one atom the coupling polytope is a single point, and the first
-    solve, certified feasible, is that point: no probe is solved.
+    has one atom x is the only coupling and uses every cell, so every
+    probe cost is 0 and the probe's product plan certifies that.
     """
     if not is_integer_exponent(p):
         raise ConstraintError("uniqueness detection needs an integer exponent")
@@ -509,8 +508,6 @@ def is_unique_optimal_plan(mu: DiscreteMeasure, nu: DiscreteMeasure, p=2) -> boo
         raise ConstraintError("uniqueness detection needs exact measures")
     cost, supply, demand, _, _ = _integer_instance(mu, nu, int(p))
     _, flows, u, v = _certified_solve(cost, supply, demand)
-    if len(supply) == 1 or len(demand) == 1:
-        return True
     k = sum(supply) + 1
     probe = []
     for i, (row, ui) in enumerate(zip(cost, u)):

@@ -437,6 +437,7 @@ _TINY_ATOMS = [
 
 _HOSTILE_FILES = {
     "big.json": json.dumps({"atoms": _BEYOND_FLOAT_RANGE["big"]}),
+    "half.json": json.dumps({"atoms": [{"x": [0.5, 0], "w": 1}]}),
     "b2.json": json.dumps({"atoms": _BEYOND_FLOAT_RANGE["b2"]}),
     "far.json": json.dumps({"atoms": [{"x": [-1e308, 0], "w": 1}]}),
     "deep.json": "[" * 3000 + "]" * 3000,
@@ -451,6 +452,17 @@ _HOSTILE_FILES = {
         {"base": {"atoms": _TINY_ATOMS}, "weights": [["1/2", "0"], ["0", "1/2"]]}
     ),
 }
+
+
+#: a float measure meeting an exact point argument beyond the float range
+_OVERFLOW_CALLS = [
+    ["project", "{d}/half.json", "--line", "+,1e400"],
+    ["interp", "{d}/half.json", "--corner", "1e400,1e400", "--s", "1/2"],
+    ["symmetric", "{d}/half.json", "--center", "1e400,0"],
+    ["symmetric", "{d}/half.json", "{d}/half.json", "--line", "+,1e400", "--p", "1"],
+]
+_OVERFLOW_IDS = ["overflow-project-line", "overflow-interp-corner",
+                 "overflow-symmetric-far-center", "overflow-symmetric-far-line"]
 
 
 @pytest.mark.parametrize(
@@ -472,11 +484,12 @@ _HOSTILE_FILES = {
         ["interp", "--dirac", "0,0", "--corner", "0,0", "--s", "1e-99999999"],
         ["perturb", "{d}/tiny.json", "--a", "1/10", "--grid", "{d}/tgrid.json"],
         ["radon", "{d}/bad-utf8.json"],
+        *_OVERFLOW_CALLS,
     ],
     ids=["overflow-symmetric-center", "overflow-radon", "overflow-symmetric-line",
          "overflow-dist", "plan-no-dir", "plan-a-dir", "nesting", "nan", "1e999", "5000-digits",
          "5001-digit-json-int", "1e99999999-json", "1e99999999-dirac", "1e-99999999-s",
-         "grid-message-digits", "bad-utf8"],
+         "grid-message-digits", "bad-utf8", *_OVERFLOW_IDS],
 )
 def test_hostile_input_fails_without_traceback(args, tmp_path):
     """Bad input ends in one error line and exit 2 or 3, never in a
@@ -488,6 +501,31 @@ def test_hostile_input_fails_without_traceback(args, tmp_path):
     assert out.stdout == ""
     assert out.stderr.startswith("error:")
     assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("args", _OVERFLOW_CALLS, ids=_OVERFLOW_IDS)
+def test_float_overflow_is_a_constraint_error(args, tmp_path, capsys):
+    """Float arithmetic that overflows on an exact point argument exits 3
+    and points to --exact; exit 1 means only a failed suite."""
+    (tmp_path / "half.json").write_text(_HOSTILE_FILES["half.json"])
+    argv = [a.format(d=tmp_path) for a in args]
+    assert cli.main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: a value lies beyond the float range; --exact computes it exactly\n"
+    assert cli.main([*argv, "--exact"]) in (0, 3)
+    assert "float range" not in capsys.readouterr().err
+
+
+def test_long_scalar_text_is_named_by_its_length():
+    """A coordinate of 19,729 digits is refused in one short line."""
+    out = run_cli("dist", "--dirac", "1" * 19729 + ",0", "--dirac", "0,0", timeout=60)
+    assert out.returncode == 3
+    assert out.stdout == ""
+    assert out.stderr.count("\n") == 1
+    assert len(out.stderr) < 200
+    assert out.stderr.startswith("error: scalar '1111")
+    assert "(19729 characters) has more than 19728 digits" in out.stderr
 
 
 def test_dist_plan_csv(measures, tmp_path):

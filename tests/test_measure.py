@@ -347,3 +347,16 @@ def test_scalar_text_within_the_digit_bound_reads_exactly(text, value):
 def test_malformed_scalar_strings_are_parse_errors(text):
     with pytest.raises(ParseError, match=r"^cannot parse scalar string "):
         parse_scalar(text)
+
+
+def test_scalar_messages_quote_short_text_and_measure_long_text():
+    with pytest.raises(ParseError, match=r"^cannot parse scalar string '5/'$"):
+        parse_scalar("5/")
+    with pytest.raises(ParseError, match=r"^scalar 'nan' is not finite$"):
+        parse_scalar("nan")
+    long = "x" * 60 + "y" * 940
+    with pytest.raises(ParseError) as info:
+        parse_scalar(long)
+    assert str(info.value) == (
+        "cannot parse scalar string 'xxxxxxxxxxxxxxxxxxxx'... (1000 characters)"
+    )

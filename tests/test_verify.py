@@ -239,6 +239,19 @@ def test_unique_geodesic_checker_both_sides():
     assert check_unique_geodesic(x, off_cross, 2).passed
 
 
+@pytest.mark.parametrize(
+    "x, atom, p",
+    [((0.0, 0), F(1), 2), ((0, 0), 0.5, 2), ((0, 0), F(1), F(3, 2))],
+    ids=["float-point", "float-measure", "fractional-p"],
+)
+def test_unique_geodesic_checker_needs_an_exact_problem(x, atom, p):
+    """Its midpoint distances are compared exactly, so a float problem
+    is refused up front."""
+    mu = DiscreteMeasure([(Point2(atom, F(1)), F(1))])
+    with pytest.raises(ConstraintError, match="exact measures and an integer p"):
+        check_unique_geodesic(Point2(*x), mu, p)
+
+
 def test_opposite_sides_checker():
     left = DiscreteMeasure(
         [(Point2(F(-1), F(0)), F(1, 2)), (Point2(F(-1), F(1, 2)), F(1, 2))]
