@@ -29,6 +29,7 @@ from .scalars import (
     parse_scalar,
     quoted,
     scalar_to_json,
+    shown,
 )
 
 
@@ -55,7 +56,7 @@ class Point2(NamedTuple):
     @classmethod
     def from_json(cls, data) -> "Point2":
         if not isinstance(data, (list, tuple)) or len(data) != 2:
-            raise ParseError(f"a point must be a two-element array, got {data!r}")
+            raise ParseError(f"a point must be a two-element array, got {shown(data)}")
         return cls(parse_scalar(data[0]), parse_scalar(data[1]))
 
 

@@ -47,6 +47,7 @@ from .scalars import (
     is_exact,
     parse_scalar,
     scalar_to_json,
+    shown,
 )
 
 Atom = tuple[Point2, Scalar]
@@ -236,7 +237,7 @@ class DiscreteMeasure:
                 x = Point2.from_json(entry["x"])
                 w = parse_scalar(entry["w"])
             except (KeyError, TypeError) as exc:
-                raise ParseError(f"bad atom entry {entry!r}") from exc
+                raise ParseError(f"bad atom entry {shown(entry)}") from exc
             atoms.append((x, w))
         return cls(atoms)
 

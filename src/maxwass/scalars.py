@@ -52,6 +52,16 @@ def quoted(text: str) -> str:
     return repr(text) if len(text) <= 60 else f"{text[:20]!r}... ({len(text)} characters)"
 
 
+def shown(value) -> str:
+    """repr(value), a JSON value in an error message; a repr of over 60
+    characters shows its start and its length instead, and text shows
+    as `quoted` shows it."""
+    if isinstance(value, str):
+        return quoted(value)
+    text = repr(value)
+    return text if len(text) <= 60 else f"{text[:20]}... ({len(text)} characters)"
+
+
 #: nearly every exact scalar is one of these; a type test by identity is
 #: cheaper than the isinstance checks, which still decide for subclasses
 _EXACT_TYPES = frozenset((int, Fraction))
@@ -135,7 +145,7 @@ def parse_scalar(v) -> Scalar:
         return _finite(v)
     if isinstance(v, str):
         return _fraction_from_str(v)
-    raise ParseError(f"not a scalar: {v!r}")
+    raise ParseError(f"not a scalar: {shown(v)}")
 
 
 def scalar_to_json(v: Scalar):

@@ -7,7 +7,9 @@ Two independent routes compute it:
 * `wasserstein` runs the network simplex, on Python ints whenever both
   measures are exact and p is a whole number and on floats otherwise;
   where a side is one atom it takes the product plan, the only
-  coupling, instead, from `_product_solution` in either arithmetic;
+  coupling, instead, from `_product_solution` in either arithmetic,
+  and where a side of an exact problem is two atoms it solves that
+  fractional knapsack in closed form, in `_two_line_solution`;
 * `brute_force_wasserstein` folds the minimum cost over every vertex of
   the coupling polytope, and returns only that number.
 
@@ -25,12 +27,16 @@ integer instance (cost, supply, demand).  When a side has one atom it
 returns the product plan with the potentials the simplex would give it,
 and certifies it in O(n) ints: every flow is positive and the atom's
 margin equals the other side's total, and a feasible plan is optimal
-when it is the only coupling.  Otherwise the simplex's final potentials
-u, v are checked in ints against its flows x (x >= 0 with the exact
-margins, c - u_i - v_j >= 0 on every cell, and sum c*x == sum u*a +
-sum v*b), which proves the vertex optimal without trusting the pivot
-path.  One walk over the flows checks their signs and sums both their
-margins and sum c*x, and the three clauses are decided in that order.
+when it is the only coupling.  When a side has two atoms it fills one
+of them greedily, the other lines in order of their cost difference
+between the two, and reads the potentials off the last line it fills.
+Otherwise the simplex runs.  The final potentials u, v of either are
+checked in ints against the flows x (x >= 0 with the exact margins,
+c - u_i - v_j >= 0 on every cell, and sum c*x == sum u*a + sum v*b),
+which proves the vertex optimal without trusting the greedy order or
+the pivot path.  One walk over the flows checks their signs and sums
+both their margins and sum c*x, and the three clauses are decided in
+that order.
 A failed certificate raises RuntimeError.  A solve returns the power
 and its vertex at the scale it ran on: integer flows and costs with
 their scales on exact problems.  Only `wasserstein` and the plan
@@ -45,6 +51,8 @@ whose costs come from the first solve's reduced costs and plan, and
 whose minimum is 0 iff that plan is the only optimal coupling.  It
 costs about twice a solve.  Where a side has one atom both solves take
 the product plan, which uses every cell, so every probe cost is 0.
+Where a side has two both take the two-line route: the probe needs
+only some certified optimal dual and a vertex, which that route gives.
 """
 
 from __future__ import annotations
@@ -287,17 +295,58 @@ def _product_solution(cost, supply, demand):
     return total, flows, [row[0] - c00 for row in cost], [c00]
 
 
+def _two_line_solution(cost, supply, demand):
+    """An optimal vertex of an exact m x 2 or 2 x n instance, in closed
+    form, as the (total, flows, u, v) `solve_transportation` returns.
+
+    With two columns the problem is a fractional knapsack: every row
+    sends to column 0 what it does not send to column 1, at c_i0 - c_i1
+    more.  So the rows, stably sorted by that difference (equal ones in
+    index order), fill column 0 greedily up to demand[0], and each row
+    sends its rest to column 1.  The flows are a forest of at most m + 1
+    cells, in row-major order.  With d the difference of the last row
+    column 0 takes, v = (d, 0) and u_i = min(c_i0 - d, c_i1) price every
+    cell at >= 0, and at 0 where a row sends flow: rows before it in the
+    order have differences <= d, rows after it >= d, and it has d.
+    Two rows take the same route on the transposed instance.
+    """
+    if len(demand) != 2:
+        total, flows, u, v = _two_line_solution([*zip(*cost)], demand, supply)
+        return total, dict(sorted(((i, j), x) for (j, i), x in flows.items())), v, u
+    diffs = [c0 - c1 for c0, c1 in cost]
+    taken = [0] * len(supply)
+    left = demand[0]
+    for i in sorted(range(len(supply)), key=diffs.__getitem__):
+        take = taken[i] = min(supply[i], left)
+        left -= take
+        d = diffs[i]
+        if not left:
+            break
+    flows = {}
+    total = 0
+    for i, ((c0, c1), s, x) in enumerate(zip(cost, supply, taken)):
+        if x:
+            flows[i, 0] = x
+            total += c0 * x
+        if s != x:
+            flows[i, 1] = s - x
+            total += c1 * (s - x)
+    return total, flows, [min(c0 - d, c1) for c0, c1 in cost], [d, 0]
+
+
 def _certified_solve(cost, supply, demand):
     """The one exact solve: an optimal vertex of an integer instance and
     its optimality certificate.
 
-    Returns the (total, flows, u, v) of `solve_transportation`: from the
-    simplex, or, when a side has one atom, from `_product_solution`.
-    There a feasible plan is the only coupling, so feasibility alone
-    proves it optimal: every flow is positive and the atom's margin
-    equals the other side's total, in O(n) ints.  A failed certificate
-    is a solver bug and raises RuntimeError, like the pivot cap; no
-    answer is returned.
+    Returns the (total, flows, u, v) of `solve_transportation`: from
+    `_product_solution` when a side has one atom, in closed form from
+    `_two_line_solution` when a side has two, and from the simplex
+    otherwise.  With one atom a feasible plan is the only coupling, so
+    feasibility alone proves it optimal: every flow is positive and the
+    atom's margin equals the other side's total, in O(n) ints.  The
+    two-line and simplex answers pass the full certificate.  A failed
+    certificate is a solver bug and raises RuntimeError, like the pivot
+    cap; no answer is returned.
     """
     if len(supply) == 1 or len(demand) == 1:
         solution = _product_solution(cost, supply, demand)
@@ -305,7 +354,10 @@ def _certified_solve(cost, supply, demand):
         feasible = min(others) > 0 and sum(others) == atom
         failed = None if feasible else "primal feasibility"
     else:
-        solution = solve_transportation(cost, supply, demand, 0)
+        if len(supply) == 2 or len(demand) == 2:
+            solution = _two_line_solution(cost, supply, demand)
+        else:
+            solution = solve_transportation(cost, supply, demand, 0)
         failed = _certificate_failure(cost, supply, demand, solution)
     if failed is not None:
         raise RuntimeError(f"exact solve failed its optimality certificate: {failed}")
@@ -499,7 +551,12 @@ def is_unique_optimal_plan(mu: DiscreteMeasure, nu: DiscreteMeasure, p=2) -> boo
     vertex, so S is a forest, on which the margins fix the flows.  So
     the minimum is 0 iff x is the only optimal coupling.  Where a side
     has one atom x is the only coupling and uses every cell, so every
-    probe cost is 0 and the probe's product plan certifies that.
+    probe cost is 0 and the probe's product plan certifies that.  Where
+    a side has two atoms both solves take the two-line route, whose
+    potentials are another optimal dual than the simplex's: the tight
+    cells of any certified optimal dual carry exactly the optimal
+    couplings, so the argument holds as it stands, and the route's
+    flows are a forest too.
     """
     if not is_integer_exponent(p):
         raise ConstraintError("uniqueness detection needs an integer exponent")

@@ -528,6 +528,29 @@ def test_long_scalar_text_is_named_by_its_length():
     assert "(19729 characters) has more than 19728 digits" in out.stderr
 
 
+@pytest.mark.parametrize(
+    "atom, start",
+    [
+        ({"x": [1] * 3000, "w": 1}, "error: a point must be a two-element array, got [1, 1"),
+        ({"x": [0, 0], "w": [1] * 3000}, "error: not a scalar: [1, 1"),
+        ({"y": [1] * 3000, "w": 1}, "error: bad atom entry {'y': [1, 1"),
+    ],
+    ids=["point", "scalar", "atom-entry"],
+)
+def test_long_json_values_are_named_by_their_length(tmp_path, atom, start):
+    """A JSON value whose repr is thousands of characters long is refused
+    in one short line that names its start and its length."""
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"atoms": [atom]}))
+    out = run_cli("dist", str(path), "--dirac", "0,0")
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.count("\n") == 1
+    assert len(out.stderr) < 200
+    assert out.stderr.startswith(start)
+    assert out.stderr.endswith(" characters)\n")
+
+
 def test_dist_plan_csv(measures, tmp_path):
     plan_file = tmp_path / "plan.csv"
     out = run_cli(

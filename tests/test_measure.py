@@ -20,7 +20,7 @@ from maxwass.measure import (
     phi_t,
     push_forward,
 )
-from maxwass.scalars import ConstraintError, ParseError, parse_scalar
+from maxwass.scalars import ConstraintError, ParseError, parse_scalar, shown
 
 F = Fraction
 
@@ -360,3 +360,19 @@ def test_scalar_messages_quote_short_text_and_measure_long_text():
     assert str(info.value) == (
         "cannot parse scalar string 'xxxxxxxxxxxxxxxxxxxx'... (1000 characters)"
     )
+
+
+def test_value_messages_show_short_reprs_and_measure_long_ones():
+    short = {"x": [1, 2], "w": "1/2"}
+    assert len(repr(short)) <= 60
+    assert shown(short) == repr(short)
+    assert shown([0] * 20) == repr([0] * 20)  # 60 characters
+    assert shown([0] * 21) == "[0, 0, 0, 0, 0, 0, 0... (63 characters)"
+    assert shown("y" * 60) == repr("y" * 60)
+    assert shown("y" * 61) == "'yyyyyyyyyyyyyyyyyyyy'... (61 characters)"
+    with pytest.raises(ParseError, match=r"^not a scalar: \[1\]$"):
+        parse_scalar([1])
+    with pytest.raises(ParseError, match=r"^not a scalar: \[1, 1, 1, .*\(9000 characters\)$"):
+        parse_scalar([1] * 3000)
+    with pytest.raises(ParseError, match=r"got \{'a': 1\}$"):
+        Point2.from_json({"a": 1})

@@ -430,10 +430,12 @@ def exact_pair(draw, kind, square):
     return measures
 
 
-def fraction_simplex(mu, nu, q):
-    """The unscaled instance straight through the simplex on Fractions."""
+def fraction_solve(mu, nu, q):
+    """The unscaled instance straight through the certified solve on
+    Fractions, which takes the route the integer instance takes."""
     cost = [[dm(x, y) ** q for y in nu.points()] for x in mu.points()]
-    total, flows, _, _ = solve_transportation(cost, mu.weights(), nu.weights(), 0)
+    supply, demand = list(mu.weights()), list(nu.weights())
+    total, flows, _, _ = transport._certified_solve(cost, supply, demand)
     return total, TransportPlan(mu, nu, [(i, j, f) for (i, j), f in flows.items()])
 
 
@@ -446,11 +448,12 @@ def fraction_simplex(mu, nu, q):
 )
 def test_integer_instance_takes_the_fraction_pivots(kind, q, square, data):
     """Scaling to ints keeps every comparison, so the exact solve returns
-    the power and the vertex of the simplex run on Fractions."""
+    the power and the vertex of the same route run on Fractions: the
+    two-line route where a side has two atoms, the simplex otherwise."""
     mu, nu = data.draw(exact_pair(kind, square))
     solution = transport._solve(mu, nu, q)
     power, plan = solution.power, solution.plan(mu, nu)
-    want_power, want_plan = fraction_simplex(mu, nu, q)
+    want_power, want_plan = fraction_solve(mu, nu, q)
     assert type(power) is F
     assert power == want_power
     assert plan.entries == want_plan.entries
@@ -466,22 +469,26 @@ def test_exact_solves_pass_only_ints_to_the_simplex(monkeypatch):
 
     monkeypatch.setattr(transport, "solve_transportation", spy)
     rng = random.Random(107)
-    one_atom = []
+    one_atom, two_atoms = [], []
     for k in range(30):
         p = (1, 2, 3)[k % 3]
         mu, nu = rand_measure(rng), rand_measure(rng)
         wasserstein_pow(mu, nu, p)
-        if 1 in (mu.support_size, nu.support_size):
+        sides = (mu.support_size, nu.support_size)
+        if 1 in sides:
             one_atom.append(_integer_instance(mu, nu, p)[:3])
+        elif 2 in sides:
+            two_atoms.append(_integer_instance(mu, nu, p)[:3])
     assert calls
     for cost, supply, demand, tol, (total, flows, u, v) in calls:
         values = [c for row in cost for c in row]
         values += [*supply, *demand, tol, total, *flows.values(), *u, *v]
         assert all(type(v) is int for v in values)
-    # exact one-atom sides never reach the simplex; the product route
-    # answers them in ints
-    assert one_atom and not any(1 in (len(s), len(d)) for _, s, d, _, _ in calls)
-    for instance in one_atom:
+    # exact one-atom and two-atom sides never reach the simplex; the
+    # product and the two-line routes answer them in ints
+    assert one_atom and two_atoms
+    assert all(min(len(s), len(d)) >= 3 for _, s, d, _, _ in calls)
+    for instance in one_atom + two_atoms:
         total, flows, u, v = transport._certified_solve(*instance)
         assert all(type(x) is int for x in (total, *flows.values(), *u, *v))
 
@@ -645,13 +652,23 @@ def line_pair(mu_x, nu_x, floats=False):
     )
 
 
+#: the routes of instances with two atoms or more per side
+ROUTES = {
+    "solve_transportation": solve_transportation,
+    "_two_line_solution": transport._two_line_solution,
+}
+
+
 def fake_solver(monkeypatch, edit):
-    """Patch the simplex to return edit(its own solution, instance)."""
+    """Patch both ROUTES to return edit(the route's own solution, cost).
+    The exact line pairs take the two-line route, the float ones the
+    simplex."""
+    for name, route in ROUTES.items():
 
-    def fake(cost, supply, demand, tol=0):
-        return edit(solve_transportation(cost, supply, demand, tol), cost)
+        def fake(cost, supply, demand, *tol, real=route):
+            return edit(real(cost, supply, demand, *tol), cost)
 
-    monkeypatch.setattr(transport, "solve_transportation", fake)
+        monkeypatch.setattr(transport, name, fake)
 
 
 def assert_every_solve_raises(mu, nu, match, exact=True):
@@ -699,14 +716,15 @@ def test_certificate_rejects_a_flow_off_by_one_unit(monkeypatch, floats):
 
 
 def test_certificate_rejects_duals_that_break_one_reduced_cost(monkeypatch):
-    """u_0 + 1 and u_1 - 1 leave sum u*a unchanged on equal supplies, so
-    the objectives still meet; only the plan cell (0, 0) prices at -1."""
+    """v_0 + 1 and v_1 - 1 leave sum v*b unchanged on equal demands, so
+    the objectives still meet; only the plan cell (0, 0) prices at -1.
+    The two-line route's potentials here are u = (5, 1), v = (-4, 0)."""
     mu, nu = line_pair((0, 4), (1, 5))
 
     def edit(solution, cost):
         total, flows, u, v = solution
         assert set(flows) == {(0, 0), (1, 1)}
-        u = [u[0] + 1, u[1] - 1]
+        v = [v[0] + 1, v[1] - 1]
         negative = [
             (i, j) for i in range(2) for j in range(2) if cost[i][j] < u[i] + v[j]
         ]
@@ -817,6 +835,30 @@ def test_certificate_checks_the_one_atom_route(monkeypatch, edit):
     assert_every_solve_raises(mu, nu, "certificate: primal feasibility")
 
 
+@pytest.mark.parametrize("edit", ["flow", "potential"])
+@pytest.mark.parametrize("three_first", [True, False], ids=["3x2", "2x3"])
+def test_certificate_checks_the_two_line_route(monkeypatch, edit, three_first):
+    """A two-line answer with one flow one unit up fails primal
+    feasibility, and one with u_0 one up dual feasibility: every row has
+    a tight cell under the route's potentials.  Both orientations, on
+    every exact solve."""
+    mu = DiscreteMeasure([(Point2(F(x), F(0)), F(1, 3)) for x in (0, 2, 4)])
+    nu = DiscreteMeasure([(Point2(F(x), F(0)), F(1, 2)) for x in (1, 5)])
+    if not three_first:
+        mu, nu = nu, mu
+
+    def broken(cost, supply, demand):
+        total, flows, u, v = ROUTES["_two_line_solution"](cost, supply, demand)
+        if edit == "flow":
+            first = next(iter(flows))
+            return total, {**flows, first: flows[first] + 1}, u, v
+        return total, flows, [u[0] + 1, *u[1:]], v
+
+    monkeypatch.setattr(transport, "_two_line_solution", broken)
+    clause = "primal" if edit == "flow" else "dual"
+    assert_every_solve_raises(mu, nu, f"certificate: {clause} feasibility")
+
+
 def test_wasserstein_pow_builds_no_plan(monkeypatch):
     rng = random.Random(5)
     exact_pair = (rand_measure(rng, 6), rand_measure(rng, 6))
@@ -903,6 +945,76 @@ def test_every_solve_returns_a_vertex(instance, floats):
     # the oracle takes up to 0.1 s at 16 cells and seconds at 36
     if m * n <= 16:
         assert total == _minimum_vertex_cost(cost, supply, demand)
+
+
+@st.composite
+def two_line_instance(draw):
+    """An m x 2 instance on 2 to 8 rows, or its transpose: degenerate int
+    costs 0-3, or int dm^p on the 1/8 grid of [-3, 3]^2 at 8x scale;
+    int margins of equal total from unit weights or weights 1-3."""
+    m = draw(st.integers(2, 8))
+    if draw(st.booleans()):
+        cost = [[draw(st.integers(0, 3)) for _ in range(2)] for _ in range(m)]
+    else:
+        coord = st.integers(-24, 24)
+        xs = [(draw(coord), draw(coord)) for _ in range(m)]
+        ys = [(draw(coord), draw(coord)) for _ in range(2)]
+        p = draw(st.sampled_from((1, 2, 3)))
+        cost = [[max(abs(a - c), abs(b - d)) ** p for c, d in ys] for a, b in xs]
+    weight = st.just(1) if draw(st.booleans()) else st.integers(1, 3)
+    rs = [draw(weight) for _ in range(m)]
+    rd = [draw(weight) for _ in range(2)]
+    supply = [r * sum(rd) for r in rs]
+    demand = [r * sum(rs) for r in rd]
+    if draw(st.booleans()):
+        return [list(col) for col in zip(*cost)], demand, supply
+    return cost, supply, demand
+
+
+def northwest_corner(supply, demand):
+    """The positive flows of the northwest-corner staircase, row-major."""
+    rs, rd = list(supply), list(demand)
+    flows = {}
+    i = j = 0
+    while i < len(rs) and j < len(rd):
+        q = min(rs[i], rd[j])
+        if q:
+            flows[i, j] = q
+        rs[i] -= q
+        rd[j] -= q
+        if rs[i] == 0:
+            i += 1
+        else:
+            j += 1
+    return flows
+
+
+@settings(max_examples=400, deadline=None)
+@given(instance=two_line_instance())
+@example(instance=([[0, 0], [0, 0]], [2, 2], [2, 2]))
+@example(instance=([[0, 0, 0], [0, 0, 0]], [3, 3], [2, 2, 2]))
+def test_two_line_route_is_a_certified_optimal_vertex(instance):
+    """Exact solves with a two-atom side take the two-line route.  Its
+    answer passes the certificate, costs what the simplex's does, and is
+    a forest of at most one cell more than the longer side, row-major;
+    where the northwest staircase is already optimal, the simplex keeps
+    it and the route returns it too."""
+    cost, supply, demand = instance
+    m, n = len(supply), len(demand)
+    solution = transport._two_line_solution(cost, supply, demand)
+    assert transport._certified_solve(cost, supply, demand) == solution
+    assert transport._certificate_failure(cost, supply, demand, solution) is None
+    total, flows, u, v = solution
+    assert all(type(x) is int for x in (total, *flows.values(), *u, *v))
+    want_total, want_flows, _, _ = solve_transportation(cost, supply, demand, 0)
+    assert total == want_total
+    assert len(flows) <= max(m, n) + 1
+    assert_vertex(flows, m, n)
+    assert list(flows) == sorted(flows)
+    staircase = northwest_corner(supply, demand)
+    if sum(cost[i][j] * x for (i, j), x in staircase.items()) == total:
+        assert want_flows == staircase
+        assert list(flows.items()) == list(staircase.items())
 
 
 def test_150x150_solves_exactly_and_in_floats():
