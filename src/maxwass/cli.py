@@ -35,9 +35,9 @@ from .scalars import (
     ParseError,
     _beyond_digit_bound,
     _fraction_from_str,
-    quoted,
     root_p,
     scalar_to_json,
+    shown,
     to_exact,
 )
 from .transport import _solve
@@ -61,7 +61,7 @@ def _parse_p(text: str, exact: bool):
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise ParseError(f"cannot read exponent {quoted(text)}")
+        raise ParseError(f"cannot read exponent {shown(text)}")
     if value < 1:
         raise ParseError("the exponent p must be at least 1")
     if value.denominator == 1:
@@ -82,7 +82,7 @@ def _resolve_seed(args) -> int:
         try:
             return int(env)
         except ValueError:
-            raise ParseError(f"MAXWASS_SEED must be an integer, got {quoted(env)}")
+            raise ParseError(f"MAXWASS_SEED must be an integer, got {shown(env)}")
     return args.seed
 
 
@@ -92,7 +92,7 @@ def _resolve_seed(args) -> int:
 def _parse_point(text: str) -> Point2:
     parts = [part.strip() for part in text.split(",")]
     if len(parts) != 2:
-        raise ParseError(f"expected a point as 'x1,x2', got {quoted(text)}")
+        raise ParseError(f"expected a point as 'x1,x2', got {shown(text)}")
     return Point2(_fraction_from_str(parts[0]), _fraction_from_str(parts[1]))
 
 
@@ -338,8 +338,6 @@ def cmd_symmetric(args) -> int:
 
 
 def cmd_perturb(args) -> int:
-    if args.grid_resolution < 1:
-        raise ParseError("--grid-resolution must be a positive integer")
     (mu,) = _gather_measures(args, 1, exact=True)
     a = _fraction_from_str(args.a)
     x_prime = _parse_point(args.x_prime) if args.x_prime else None
@@ -548,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_pert.add_argument(
         "--grid-resolution", type=int, default=8, metavar="N",
-        help="automatic x_prime offset is c/N along the diagonal (default 8)",
+        help="automatic x_prime offset is c/N along the diagonal, N > 2 (default 8)",
     )
     p_pert.set_defaults(func=cmd_perturb)
 

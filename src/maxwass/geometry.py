@@ -27,7 +27,6 @@ from .scalars import (
     halve,
     is_exact,
     parse_scalar,
-    quoted,
     scalar_to_json,
     shown,
 )
@@ -103,7 +102,7 @@ class DiagonalLine:
         """Parse '+,a' / '-,a' shorthand, e.g. '+,0' or '-,1/2'."""
         parts = text.split(",", 1)
         if len(parts) != 2 or parts[0] not in ("+", "-"):
-            raise ParseError(f"expected '+,<a>' or '-,<a>', got {quoted(text)}")
+            raise ParseError(f"expected '+,<a>' or '-,<a>', got {shown(text)}")
         return cls(1 if parts[0] == "+" else -1, parse_scalar(parts[1]))
 
 

@@ -46,18 +46,14 @@ def for_message(v, form=str) -> str:
         return "a number of more digits than Python prints"
 
 
-def quoted(text: str) -> str:
-    """repr(text), input text in an error message; text of over 60
-    characters shows its start and its length instead."""
-    return repr(text) if len(text) <= 60 else f"{text[:20]!r}... ({len(text)} characters)"
-
-
 def shown(value) -> str:
-    """repr(value), a JSON value in an error message; a repr of over 60
-    characters shows its start and its length instead, and text shows
-    as `quoted` shows it."""
+    """repr(value), input text or a JSON value in an error message.  Past
+    60 characters it shows the first 20 and the length instead, counted
+    on the text itself for text and on the repr for any other value."""
     if isinstance(value, str):
-        return quoted(value)
+        if len(value) <= 60:
+            return repr(value)
+        return f"{value[:20]!r}... ({len(value)} characters)"
     text = repr(value)
     return text if len(text) <= 60 else f"{text[:20]}... ({len(text)} characters)"
 
@@ -115,7 +111,7 @@ def _fraction_from_str(s: str) -> Fraction:
     if beyond is not None:
         if beyond.is_zero():
             return Fraction(0)
-        raise ConstraintError(f"scalar {quoted(s)} has more than {_MAX_DIGITS} digits")
+        raise ConstraintError(f"scalar {shown(s)} has more than {_MAX_DIGITS} digits")
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError):
@@ -123,9 +119,9 @@ def _fraction_from_str(s: str) -> Fraction:
     try:
         d = Decimal(s)
     except InvalidOperation:
-        raise ParseError(f"cannot parse scalar string {quoted(s)}") from None
+        raise ParseError(f"cannot parse scalar string {shown(s)}") from None
     if not d.is_finite():
-        raise ParseError(f"scalar {quoted(s)} is not finite")
+        raise ParseError(f"scalar {shown(s)} is not finite")
     return Fraction(d)
 
 

@@ -561,7 +561,7 @@ def is_unique_optimal_plan(mu: DiscreteMeasure, nu: DiscreteMeasure, p=2) -> boo
     if not is_integer_exponent(p):
         raise ConstraintError("uniqueness detection needs an integer exponent")
     _require_valid_p(p)
-    if not _is_exact_problem(mu, nu, p):
+    if not (mu.exact and nu.exact):
         raise ConstraintError("uniqueness detection needs exact measures")
     cost, supply, demand, _, _ = _integer_instance(mu, nu, int(p))
     _, flows, u, v = _certified_solve(cost, supply, demand)

@@ -8,8 +8,9 @@ grid in the report notes.  Those searches take exact measures and run
 in the frame of the grid's centre y: the candidates sit around the
 origin, each beside its distance to the origin Dirac, solved once per
 process, and a sweep moves the measures it checks by -y once.  A
-failure names its candidate moved back around y.  All randomness
-is seeded, so identical (suite, seed) runs produce identical reports.
+failure names its candidate moved back around y.  run_suite hands
+each suite its own random stream, seeded by the suite's name and the
+seed, so identical (suite, seed) runs produce identical reports.
 """
 
 from __future__ import annotations
@@ -128,6 +129,17 @@ def _require_exact(*measures):
 
 
 def _non_codiag_pair(points_a, points_b):
+    """The first pair of distinct points, one from each list, on no
+    common diagonal line, or None.
+
+    Distinct points that are pairwise co-diagonal lie on one diagonal
+    line: if x - y = (a, a) and x - z = (b, -b), then y - z =
+    (b - a, -b - a), which is co-diagonal only when ab = 0.  So a support
+    on no diagonal line has such a pair within it, and two diagonal
+    supports on no common line have one across them, since the pairs
+    within each support are co-diagonal.  The converse checks rely on
+    this and never meet None.
+    """
     for xa in points_a:
         for xb in points_b:
             if xa != xb and not same_diagonal(xa, xb):
@@ -170,12 +182,7 @@ def check_diag_support_char(mu: DiscreteMeasure, nu_samples) -> CheckReport:
         return report
 
     _require_exact(mu)
-    pair = _non_codiag_pair(mu.points(), mu.points())
-    if pair is None:
-        raise ConstraintError(
-            "converse check needs two non-co-diagonal support points"
-        )
-    y = _midpoint(*pair)
+    y = _midpoint(*_non_codiag_pair(mu.points(), mu.points()))
     moved = _to_origin(y, mu)
     d_mn = wasserstein_pow(moved, _ORIGIN_DIRAC, 1)
     report.notes.append(_eta_grid_note(1))
@@ -224,12 +231,7 @@ def check_same_diag_char(mu1, mu2, nu_samples) -> CheckReport:
         return report
 
     _require_exact(mu1, mu2)
-    pair = _non_codiag_pair(mu1.points(), mu2.points())
-    if pair is None:
-        raise ConstraintError(
-            "converse check needs non-co-diagonal support points across the measures"
-        )
-    y = _midpoint(*pair)
+    y = _midpoint(*_non_codiag_pair(mu1.points(), mu2.points()))
     moved1, moved2 = _to_origin(y, mu1), _to_origin(y, mu2)
     d1n = wasserstein_pow(moved1, _ORIGIN_DIRAC, 1)
     d2n = wasserstein_pow(moved2, _ORIGIN_DIRAC, 1)
@@ -549,8 +551,7 @@ def check_q_functional(mu: DiscreteMeasure, p=2, nu_samples=()) -> CheckReport:
     """
     if p <= 1:
         raise ConstraintError("the functional bound concerns p > 1")
-    seg = DiagonalLine(1, 0)
-    if not mu.supported_on(seg) or any(
+    if not mu.supported_on(L_PLUS) or any(
         not (0 <= x.x1 <= 1) for x in mu.points()
     ):
         raise ConstraintError("mu must live on the diagonal segment from (0,0) to (1,1)")
@@ -665,19 +666,13 @@ def _rand_nondiagonal_measure(rng) -> DiscreteMeasure:
     while True:
         mu = rand_measure(rng, 4)
         if mu.support_size >= 2 and mu.diagonal_line() is None:
-            if _non_codiag_pair(mu.points(), mu.points()):
-                return mu
-
-
-def _rng(suite: str, seed: int) -> random.Random:
-    return random.Random(f"maxwass:{suite}:{seed}")
+            return mu
 
 
 # ---------------------------------------------------------------------------
 # suites
 
-def _suite_diag_char(seed: int) -> list:
-    rng = _rng("diag-char", seed)
+def _suite_diag_char(rng: random.Random) -> list:
     reports = []
     for _ in range(50):
         line = _rand_line(rng)
@@ -690,8 +685,7 @@ def _suite_diag_char(seed: int) -> list:
     return reports
 
 
-def _suite_same_diag(seed: int) -> list:
-    rng = _rng("same-diag", seed)
+def _suite_same_diag(rng: random.Random) -> list:
     reports = []
     for _ in range(50):
         line = _rand_line(rng)
@@ -716,8 +710,7 @@ def _suite_same_diag(seed: int) -> list:
     return reports
 
 
-def _suite_dirac_char(seed: int) -> list:
-    rng = _rng("dirac-char", seed)
+def _suite_dirac_char(rng: random.Random) -> list:
     reports = []
     for p in (2, 3):
         for _ in range(25):
@@ -732,8 +725,7 @@ def _suite_dirac_char(seed: int) -> list:
     return reports
 
 
-def _suite_unique_geodesic(seed: int) -> list:
-    rng = _rng("unique-geodesic", seed)
+def _suite_unique_geodesic(rng: random.Random) -> list:
     reports = []
     ps = (1, 2, 3)
     for k in range(100):
@@ -749,12 +741,11 @@ def _suite_unique_geodesic(seed: int) -> list:
     return reports
 
 
-def _suite_w2_table(seed: int) -> list:
+def _suite_w2_table(rng: random.Random) -> list:
     return [reproduce_w2_table()]
 
 
-def _suite_oracle_agreement(seed: int) -> list:
-    rng = _rng("oracle-agreement", seed)
+def _suite_oracle_agreement(rng: random.Random) -> list:
     report = CheckReport("oracle-agreement")
     ps = (1, 2, 3)
     for k in range(200):
@@ -770,8 +761,7 @@ def _suite_oracle_agreement(seed: int) -> list:
     return [report]
 
 
-def _suite_q_sides(seed: int) -> list:
-    rng = _rng("q-sides", seed)
+def _suite_q_sides(rng: random.Random) -> list:
     reports = []
     ps = (1, 2, 3)
     one = Fraction(1)
@@ -804,8 +794,7 @@ def _suite_q_sides(seed: int) -> list:
     return reports
 
 
-def _suite_q_saturation(seed: int) -> list:
-    rng = _rng("q-saturation", seed)
+def _suite_q_saturation(rng: random.Random) -> list:
     reports = []
     for k in range(50):
         if k % 2 == 0:
@@ -818,8 +807,7 @@ def _suite_q_saturation(seed: int) -> list:
     return reports
 
 
-def _suite_q_functional(seed: int) -> list:
-    rng = _rng("q-functional", seed)
+def _suite_q_functional(rng: random.Random) -> list:
     reports = []
     for p in (2, 3):
         for _ in range(10):
@@ -864,7 +852,7 @@ def _perturb_diag_measure(rng, ts, weights):
     return DiscreteMeasure(atoms)
 
 
-def _suite_q_corners(seed: int) -> list:
+def _suite_q_corners(rng: random.Random) -> list:
     values = [Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(3, 4), Fraction(1)]
     return [check_corner_interval(a, b) for a in values for b in values]
 
@@ -884,14 +872,13 @@ SUITES = {
 
 
 def run_suite(name: str, seed: int = 0) -> list:
-    """Run one named suite (or 'all') and return its CheckReports."""
-    if name == "all":
-        reports = []
-        for key in SUITES:
-            reports.extend(SUITES[key](seed))
-        return reports
-    if name not in SUITES:
+    """Run one named suite (or 'all') and return its CheckReports.  Each
+    suite draws from its own stream, seeded by its name and the seed."""
+    if name != "all" and name not in SUITES:
         raise ParseError(
             f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'"
         )
-    return SUITES[name](seed)
+    reports = []
+    for key in SUITES if name == "all" else (name,):
+        reports.extend(SUITES[key](random.Random(f"maxwass:{key}:{seed}")))
+    return reports

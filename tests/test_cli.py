@@ -1049,6 +1049,24 @@ def test_perturb_rejects_large_mass(measures):
     assert out.returncode == 3
 
 
+@pytest.mark.parametrize("n", [-1, 0, 1, 2, 3, None])
+def test_grid_resolution_needs_a_denominator_above_2(n, measures, capsys):
+    """--grid-resolution N puts the automatic x_prime at offset c/N; every
+    N <= 2 prints nothing and exits 3 with one error line, while N = 3
+    and the default run."""
+    argv = ["perturb", measures["fam"], "--a", "1/48"]
+    if n is not None:
+        argv.append(f"--grid-resolution={n}")
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    if n is None or n > 2:
+        assert (code, err) == (0, "")
+        assert json.loads(out)["x_prime"]
+    else:
+        assert (code, out) == (3, "")
+        assert err == "error: the automatic offset c/denominator needs a denominator above 2\n"
+
+
 def test_verify_w2_table_passes():
     out = run_cli("verify", "w2-table")
     assert out.returncode == 0

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxwass import cli, transport, verify
-from maxwass.geometry import DiagonalLine, Point2
+from maxwass.geometry import DiagonalLine, Point2, diagonal_line_through
 from maxwass.measure import DiscreteMeasure, push_forward
 from maxwass.scalars import ConstraintError, ParseError
 from maxwass.transport import wasserstein_pow
@@ -22,6 +22,7 @@ from maxwass.verify import (
     SUITES,
     CheckReport,
     _eta_template,
+    _non_codiag_pair,
     check_corner_interval,
     check_diag_saturation,
     check_diag_support_char,
@@ -110,7 +111,7 @@ def test_fast_suites_match_pinned_seeds(suite, seed, capsys, monkeypatch):
     assert_prints_pinned_report(suite, seed, capsys, monkeypatch)
 
 
-def _failing_stub(seed):
+def _failing_stub(rng):
     """Three failing reports of one statement, three failures each, and
     a passing report of another."""
     reports = []
@@ -150,6 +151,52 @@ def test_failing_suite_exits_1_with_capped_samples(fmt, capsys, monkeypatch):
         assert lines[1:5] == [f"      failure: {sample}" for sample in samples]
         assert lines[5].startswith("PASS  stub-passing  ")
         assert lines[-1] == "passed 1/2 statements"
+
+
+def test_run_suite_hands_each_suite_its_own_stream(monkeypatch):
+    """run_suite, for 'all' in registry order and for one suite, hands a
+    suite a random.Random seeded by the suite's name and the seed."""
+    keys = ("stub-b", "stub-a")
+    draws = []
+
+    def stub(key):
+        def suite(rng):
+            assert isinstance(rng, random.Random)
+            draws.append((key, rng.random()))
+            return [CheckReport(key)]
+        return suite
+
+    monkeypatch.setattr(verify, "SUITES", {key: stub(key) for key in keys})
+    expected = [(key, random.Random(f"maxwass:{key}:5").random()) for key in keys]
+    assert [report.name for report in run_suite("all", 5)] == list(keys)
+    assert draws == expected
+    draws.clear()
+    assert [report.name for report in run_suite("stub-a", 5)] == ["stub-a"]
+    assert draws == expected[1:]
+
+
+_HALVES = st.integers(-4, 4).map(lambda k: F(k, 2))
+_SUPPORTS = st.one_of(
+    st.lists(st.builds(Point2, _HALVES, _HALVES), min_size=1, max_size=4, unique=True),
+    st.builds(
+        lambda eps, a, ts: [Point2(t, eps * t + a) for t in ts],
+        st.sampled_from((1, -1)), _HALVES,
+        st.lists(_HALVES, min_size=1, max_size=3, unique=True),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SUPPORTS, _SUPPORTS)
+def test_supports_on_no_common_diagonal_have_a_non_codiagonal_pair(a, b):
+    """Distinct points that are pairwise co-diagonal lie on one diagonal
+    line, so the converse checks always find the pair they start from:
+    within a support on no line, and across two diagonal supports on no
+    common line."""
+    if diagonal_line_through(a) is None:
+        assert _non_codiag_pair(a, a) is not None
+    elif diagonal_line_through(b) is not None and diagonal_line_through(a + b) is None:
+        assert _non_codiag_pair(a, b) is not None
 
 
 def test_seeded_suites_are_deterministic():
