@@ -36,6 +36,7 @@ from .transport import (
     is_unique_optimal_plan,
     wasserstein,
     wasserstein_pow,
+    wasserstein_pows,
 )
 from .wgeom import (
     PerturbationTriple,

@@ -19,8 +19,12 @@ common coordinate and weight scales, reading a side that is at the
 common scale already as it is; each route divides by the scales once
 at the end.  Only that input is shared, never the search,
 so agreement between the two is a real check and is enforced wholesale
-by the acceptance suite.  Measures fix their exactness when they are
-built, a solve decides its own once, and its plan takes that verdict.
+by the acceptance suite.  `wasserstein_pows` solves one measure against
+many with the same scale step: it rescales the source once per common
+scale, builds each distinct target point's cost column once, and hands
+each target the instance `_integer_instance` would build for its pair.
+Measures fix their exactness when they are built, a solve decides its
+own once, and its plan takes that verdict.
 
 Every exact solve goes through `_certified_solve`, which takes an
 integer instance (cost, supply, demand).  When a side has one atom it
@@ -108,6 +112,34 @@ def _cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, fp: float):
     ]
 
 
+def _coords_at(form, scale: int):
+    """The form's coordinates at `scale`, a multiple of its own: the
+    form's tuple itself when the scales agree, else a new list."""
+    if scale == form.coord_scale:
+        return form.coords
+    k = scale // form.coord_scale
+    return [(x1 * k, x2 * k) for x1, x2 in form.coords]
+
+
+def _weights_at(form, scale: int) -> list:
+    """The form's weights at `scale`, a multiple of its own, as a new list."""
+    if scale == form.weight_scale:
+        return list(form.weights)
+    k = scale // form.weight_scale
+    return [w * k for w in form.weights]
+
+
+def _require_cost_bits(q: int, top: int):
+    """A ConstraintError, before any power is taken, when top^q would
+    exceed _MAX_COST_BITS bits; top is the largest of a cost's dm values
+    and its coordinate scale L."""
+    # b.bit_length() - 1 bits per factor is a lower bound on the size of b^q
+    if q * (top.bit_length() - 1) > _MAX_COST_BITS:
+        raise ConstraintError(
+            f"an exact cost dm^p would exceed {_MAX_COST_BITS} bits; use a smaller p"
+        )
+
+
 def _integer_instance(mu: DiscreteMeasure, nu: DiscreteMeasure, q: int):
     """The exact problem at integer scale, from the measures' integer forms.
 
@@ -123,35 +155,24 @@ def _integer_instance(mu: DiscreteMeasure, nu: DiscreteMeasure, q: int):
     Positive scaling keeps the sign of every comparison, so the optimal
     vertices are those of the rational instance.  A ConstraintError is
     raised before any power is taken when dm^q or L^q would exceed
-    _MAX_COST_BITS bits.
+    _MAX_COST_BITS bits.  `wasserstein_pows` builds the same instances
+    for many targets, sharing this scale step.
     """
     a, b = mu.integer, nu.integer
-    xs, ys = a.coords, b.coords
-    coord_scale = a.coord_scale
+    # the scale helpers run only where the scales differ: called on
+    # every pair, they slowed 2 x 2 to 4 x 4 instances by 2-5%
+    xs, ys, coord_scale = a.coords, b.coords, a.coord_scale
     if b.coord_scale != coord_scale:
         coord_scale = math.lcm(coord_scale, b.coord_scale)
-        if coord_scale != a.coord_scale:
-            k = coord_scale // a.coord_scale
-            xs = [(x1 * k, x2 * k) for x1, x2 in xs]
-        if coord_scale != b.coord_scale:
-            k = coord_scale // b.coord_scale
-            ys = [(y1 * k, y2 * k) for y1, y2 in ys]
+        xs, ys = _coords_at(a, coord_scale), _coords_at(b, coord_scale)
     weight_scale = a.weight_scale
-    supply, demand = list(a.weights), list(b.weights)
     if b.weight_scale != weight_scale:
         weight_scale = math.lcm(weight_scale, b.weight_scale)
-        if weight_scale != a.weight_scale:
-            k = weight_scale // a.weight_scale
-            supply = [w * k for w in supply]
-        if weight_scale != b.weight_scale:
-            k = weight_scale // b.weight_scale
-            demand = [w * k for w in demand]
+        supply, demand = _weights_at(a, weight_scale), _weights_at(b, weight_scale)
+    else:
+        supply, demand = list(a.weights), list(b.weights)
     cost = [[max(abs(x1 - y1), abs(x2 - y2)) for y1, y2 in ys] for x1, x2 in xs]
-    # b.bit_length() - 1 bits per factor is a lower bound on the size of b^q
-    if q * (max(coord_scale, max(map(max, cost))).bit_length() - 1) > _MAX_COST_BITS:
-        raise ConstraintError(
-            f"an exact cost dm^p would exceed {_MAX_COST_BITS} bits; use a smaller p"
-        )
+    _require_cost_bits(q, max(coord_scale, max(map(max, cost))))
     if q != 1:
         cost = [[d**q for d in row] for row in cost]
     return cost, supply, demand, coord_scale**q, weight_scale
@@ -459,6 +480,60 @@ def wasserstein_pow(mu: DiscreteMeasure, nu: DiscreteMeasure, p=2) -> Scalar:
     """The p-th power of d_{W_p}, without building a plan; exact on exact
     inputs with integer p."""
     return _solve(mu, nu, p).power
+
+
+def wasserstein_pows(mu: DiscreteMeasure, nus, p=2) -> list:
+    """[wasserstein_pow(mu, nu, p) for nu in nus], exceptions included,
+    with every exact problem built from one integer source.
+
+    Each exact target gets the instance `_integer_instance(mu, nu, p)`
+    would build, at the pair's own least scales L and W, and its vertex
+    from `_certified_solve`, certificate and all.  mu's coordinates are
+    rescaled once per common coordinate scale and its weights once per
+    common weight scale.  A target point's cost column, dm to every atom
+    of mu, is built once per coordinate scale: checked against
+    _MAX_COST_BITS before it is powered, so a target raises where its
+    pair would, and powered once.  Any other problem takes `_solve`.
+    """
+    nus = list(nus)
+    if nus:
+        _require_valid_p(p)
+    if not (mu.exact and is_integer_exponent(p)):
+        return [_solve(mu, nu, p).power for nu in nus]
+    q = int(p)
+    a = mu.integer
+    # coordinate scale -> (mu's coordinates, {target point: cost column})
+    rows_at = {}
+    # weight scale -> mu's weights, which every solve only reads
+    supply_at = {}
+    powers = []
+    for nu in nus:
+        b = nu.integer
+        if b is None:
+            powers.append(_solve(mu, nu, p).power)
+            continue
+        coord_scale = math.lcm(a.coord_scale, b.coord_scale)
+        weight_scale = math.lcm(a.weight_scale, b.weight_scale)
+        if coord_scale not in rows_at:
+            rows_at[coord_scale] = _coords_at(a, coord_scale), {}
+        xs, columns = rows_at[coord_scale]
+        if weight_scale not in supply_at:
+            supply_at[weight_scale] = _weights_at(a, weight_scale)
+        cols = []
+        for y in _coords_at(b, coord_scale):
+            col = columns.get(y)
+            if col is None:
+                y1, y2 = y
+                col = [max(abs(x1 - y1), abs(x2 - y2)) for x1, x2 in xs]
+                _require_cost_bits(q, max(coord_scale, max(col)))
+                if q != 1:
+                    col = [d**q for d in col]
+                columns[y] = col
+            cols.append(col)
+        cost = list(map(list, zip(*cols)))
+        total = _certified_solve(cost, supply_at[weight_scale], _weights_at(b, weight_scale))[0]
+        powers.append(Fraction(total, weight_scale * coord_scale**q))
+    return powers
 
 
 # ---------------------------------------------------------------------------

@@ -95,7 +95,12 @@ def symmetric_w1(line: DiagonalLine, mu: DiscreteMeasure, nu: DiscreteMeasure) -
     """
     if not mu.supported_on(line):
         raise ConstraintError("mu must be supported on the given diagonal line")
-    t0 = wasserstein_pow(mu, nu, 1)
+    return _slide(line, nu, wasserstein_pow(mu, nu, 1))
+
+
+def _slide(line: DiagonalLine, nu: DiscreteMeasure, t0: Scalar) -> DiscreteMeasure:
+    """nu with every atom slid time t0 along its escape direction away
+    from the line: symmetric_w1 once t0 = d_{W_1}(mu, nu) is known."""
     if t0 == 0:
         return nu
     return push_forward(

@@ -3,6 +3,7 @@
 import io
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,6 +23,7 @@ from maxwass.transport import (
     is_unique_optimal_plan,
     wasserstein,
     wasserstein_pow,
+    wasserstein_pows,
 )
 
 F = Fraction
@@ -857,6 +859,8 @@ def test_certificate_checks_the_two_line_route(monkeypatch, edit, three_first):
     monkeypatch.setattr(transport, "_two_line_solution", broken)
     clause = "primal" if edit == "flow" else "dual"
     assert_every_solve_raises(mu, nu, f"certificate: {clause} feasibility")
+    with pytest.raises(RuntimeError, match=f"certificate: {clause} feasibility"):
+        wasserstein_pows(mu, [DiscreteMeasure.dirac(Point2(F(0), F(0))), nu], 1)
 
 
 def test_wasserstein_pow_builds_no_plan(monkeypatch):
@@ -1079,3 +1083,78 @@ def test_float_cost_matrix_is_dm_to_the_p(data, kind, fp):
     assert not (mu.exact and nu.exact)
     expected = [[float(dm(x, y)) ** fp for y in nu.points()] for x in mu.points()]
     assert transport._cost_matrix(mu, nu, fp) == expected
+
+
+@st.composite
+def one_source_batch(draw):
+    """An exact source and one to six exact targets.  Coordinates have
+    denominators 1, 2, 3 or 8 and weights are parts of 1 to 12 over
+    their sum, so the common scales of the pairs differ.  Targets of
+    one, two and three or four atoms draw their points from one pool
+    of four to six, so target points repeat across targets."""
+    coord = st.builds(F, st.integers(-12, 12), st.sampled_from((1, 2, 3, 8)))
+    point = st.builds(Point2, coord, coord)
+
+    def weighted(points):
+        parts = draw(st.lists(st.integers(1, 12), min_size=len(points), max_size=len(points)))
+        return DiscreteMeasure([(x, F(r, sum(parts))) for x, r in zip(points, parts)])
+
+    mu = weighted(draw(st.lists(point, min_size=1, max_size=4, unique=True)))
+    pool = draw(st.lists(point, min_size=4, max_size=6, unique=True))
+    sizes = draw(st.lists(st.sampled_from((1, 2, 3, 4)), min_size=1, max_size=6))
+    return mu, [weighted(draw(st.permutations(pool))[:size]) for size in sizes]
+
+
+@settings(max_examples=300, deadline=None)
+@given(batch=one_source_batch(), p=st.sampled_from((1, 2, 3)))
+def test_batch_powers_are_the_per_pair_powers(batch, p):
+    """wasserstein_pows hands `_certified_solve` the instance
+    `_integer_instance` builds for each pair, at the pair's own scales,
+    and returns the per-pair powers."""
+    mu, nus = batch
+    handed = []
+    solve = transport._certified_solve
+
+    def recording(cost, supply, demand):
+        handed.append((cost, supply, demand))
+        return solve(cost, supply, demand)
+
+    with mock.patch.object(transport, "_certified_solve", recording):
+        powers = wasserstein_pows(mu, nus, p)
+    assert handed == [_integer_instance(mu, nu, p)[:3] for nu in nus]
+    assert powers == [wasserstein_pow(mu, nu, p) for nu in nus]
+    assert all(type(power) is F for power in powers)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    batch=one_source_batch(),
+    data=st.data(),
+    kind=st.sampled_from(("float", "mixed", "float-weight")),
+    p=st.sampled_from((1, 2, 2.5)),
+)
+def test_batch_of_float_problems_is_the_per_pair_list(batch, data, kind, p):
+    """A float source, float targets among exact ones, or a fractional p
+    give the per-pair solve's list."""
+    mu, nus = batch
+    if data.draw(st.booleans()):
+        mu = data.draw(float_cost_measure(kind))
+    nus = [data.draw(float_cost_measure(kind)) if data.draw(st.booleans()) else nu for nu in nus]
+    assert wasserstein_pows(mu, nus, p) == [wasserstein_pow(mu, nu, p) for nu in nus]
+
+
+def test_batch_raises_where_its_pair_exceeds_the_cost_bits():
+    """A target whose dm^p or L^p would pass _MAX_COST_BITS raises the
+    per-pair ConstraintError, after the targets before it are solved."""
+    mu = DiscreteMeasure.dirac(Point2(F(0), F(0)))
+    near = DiscreteMeasure.dirac(Point2(F(1), F(0)))
+    far = DiscreteMeasure([(Point2(F(1), F(0)), F(1, 2)), (Point2(F(2**20), F(0)), F(1, 2))])
+    fine = DiscreteMeasure.dirac(Point2(F(1, 2**20), F(0)))
+    p = 20000
+    assert wasserstein_pows(mu, [near, near], p) == [1, 1]
+    for nus in ([near, far], [far, near], [near, fine]):
+        with pytest.raises(ConstraintError) as loop:
+            [wasserstein_pow(mu, nu, p) for nu in nus]
+        with pytest.raises(ConstraintError) as batch:
+            wasserstein_pows(mu, nus, p)
+        assert str(batch.value) == str(loop.value)

@@ -223,6 +223,27 @@ def test_diag_char_forward_and_converse():
     assert converse.instances > 100  # the declared candidate grid
 
 
+def test_diag_char_forward_solves_each_distance_once(monkeypatch):
+    """One forward sample solves d(mu, nu), which also slides nu into
+    its mirror eta, then d(nu, eta) and d(mu, eta): three exact solves."""
+    line = DiagonalLine(1, F(1, 2))
+    mu = DiscreteMeasure(
+        [(line.point_at(F(0)), F(1, 3)), (line.point_at(F(2)), F(2, 3))]
+    )
+    nu = rand_measure(random.Random(3), 3)
+    calls = []
+    solve = transport._certified_solve
+
+    def counting(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(transport, "_certified_solve", counting)
+    report = check_diag_support_char(mu, [nu])
+    assert report.passed and report.instances == 1
+    assert len(calls) == 3
+
+
 def test_diag_char_dirac_takes_forward_branch():
     dirac = DiscreteMeasure.dirac(Point2(F(0), F(0)))
     report = check_diag_support_char(dirac, [])
@@ -428,7 +449,7 @@ def test_diag_char_converse_solves_once_per_candidate(monkeypatch):
     )
     assert check_diag_support_char(off, []).passed
     calls, built = [], []
-    solve, init = transport._solve, DiscreteMeasure.__init__
+    solve, init = transport._certified_solve, DiscreteMeasure.__init__
 
     def counting(*args):
         calls.append(args)
@@ -438,7 +459,7 @@ def test_diag_char_converse_solves_once_per_candidate(monkeypatch):
         built.append(atoms)
         init(self, atoms)
 
-    monkeypatch.setattr(transport, "_solve", counting)
+    monkeypatch.setattr(transport, "_certified_solve", counting)
     monkeypatch.setattr(DiscreteMeasure, "__init__", counting_init)
     report = check_diag_support_char(off, [])
     assert report.passed and report.instances == 117
