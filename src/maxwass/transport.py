@@ -15,14 +15,12 @@ Two independent routes compute it:
 
 Exact problems reach both routes through `_integer_instance`, which
 rescales the two measures' integer forms (`measure.IntegerForm`) to
-common coordinate and weight scales, reading a side that is at the
-common scale already as it is; each route divides by the scales once
-at the end.  Only that input is shared, never the search,
-so agreement between the two is a real check and is enforced wholesale
-by the acceptance suite.  `wasserstein_pows` solves one measure against
-many with the same scale step: it rescales the source once per common
-scale, builds each distinct target point's cost column once, and hands
-each target the instance `_integer_instance` would build for its pair.
+common coordinate and weight scales with `_instance_builder`; each
+route divides by the scales once at the end.  Only that input is
+shared, never the search, so agreement between the two is a real check
+and is enforced wholesale by the acceptance suite.  `wasserstein_pows`
+solves one measure against many with one builder, which fixes that
+measure as the columns and builds each target point's cost row once.
 Measures fix their exactness when they are built, a solve decides its
 own once, and its plan takes that verdict.
 
@@ -140,42 +138,64 @@ def _require_cost_bits(q: int, top: int):
         )
 
 
-def _integer_instance(mu: DiscreteMeasure, nu: DiscreteMeasure, q: int):
-    """The exact problem at integer scale, from the measures' integer forms.
+def _instance_builder(nu: DiscreteMeasure, q: int):
+    """build(mu) -> the exact problem of (mu, nu) at integer scale, nu
+    fixed as the columns: (cost, supply, demand, L^q, W).
 
     Coordinates are rescaled to L = lcm(L_mu, L_nu) and weights to
     W = lcm(W_mu, W_nu), the least scales that make both measures
-    whole; a side already at the common scale is read as it is.  dm is
-    1-homogeneous, so the costs dm^q scale by L^q.  Returns (cost,
-    supply, demand, cost_scale, weight_scale) with cost_scale = L^q and
-    weight_scale = W: a total cost divides by W * L^q and a flow by W.
-    The cost, its rows, supply and demand are new lists on every call,
-    so a caller may edit them and the forms stay as they were; the
-    certificate compares margins with supply and demand as lists.
-    Positive scaling keeps the sign of every comparison, so the optimal
-    vertices are those of the rational instance.  A ConstraintError is
-    raised before any power is taken when dm^q or L^q would exceed
-    _MAX_COST_BITS bits.  `wasserstein_pows` builds the same instances
-    for many targets, sharing this scale step.
+    whole; dm is 1-homogeneous, so the costs dm^q scale by L^q, and a
+    total cost divides by W * L^q and a flow by W.  Positive scaling
+    keeps the sign of every comparison, so the optimal vertices are
+    those of the rational instance.  nu is rescaled once per common
+    scale, and each row point's cost row is built once per coordinate
+    scale: the rows a call adds are checked before any is powered, so
+    it raises a ConstraintError where dm^q or L^q would exceed
+    _MAX_COST_BITS bits.  Each call's cost and supply are new lists;
+    the cost rows and demand are shared by the builder's calls, which
+    only read them.
     """
-    a, b = mu.integer, nu.integer
-    # the scale helpers run only where the scales differ: called on
-    # every pair, they slowed 2 x 2 to 4 x 4 instances by 2-5%
-    xs, ys, coord_scale = a.coords, b.coords, a.coord_scale
-    if b.coord_scale != coord_scale:
-        coord_scale = math.lcm(coord_scale, b.coord_scale)
-        xs, ys = _coords_at(a, coord_scale), _coords_at(b, coord_scale)
-    weight_scale = a.weight_scale
-    if b.weight_scale != weight_scale:
-        weight_scale = math.lcm(weight_scale, b.weight_scale)
-        supply, demand = _weights_at(a, weight_scale), _weights_at(b, weight_scale)
-    else:
-        supply, demand = list(a.weights), list(b.weights)
-    cost = [[max(abs(x1 - y1), abs(x2 - y2)) for y1, y2 in ys] for x1, x2 in xs]
-    _require_cost_bits(q, max(coord_scale, max(map(max, cost))))
-    if q != 1:
-        cost = [[d**q for d in row] for row in cost]
-    return cost, supply, demand, coord_scale**q, weight_scale
+    b = nu.integer
+    # coordinate scale -> (nu's coordinates, {row point: cost row})
+    rows_at = {}
+    demand_at = {}  # weight scale -> nu's weights
+
+    def build(mu: DiscreteMeasure):
+        a = mu.integer
+        coord_scale = math.lcm(a.coord_scale, b.coord_scale)
+        weight_scale = math.lcm(a.weight_scale, b.weight_scale)
+        if coord_scale not in rows_at:
+            rows_at[coord_scale] = _coords_at(b, coord_scale), {}
+        ys, rows = rows_at[coord_scale]
+        if weight_scale not in demand_at:
+            demand_at[weight_scale] = _weights_at(b, weight_scale)
+        xs = _coords_at(a, coord_scale)
+        new = [
+            (x, [max(abs(x[0] - y1), abs(x[1] - y2)) for y1, y2 in ys])
+            for x in xs
+            if x not in rows
+        ]
+        if new:
+            _require_cost_bits(q, max(coord_scale, *(max(row) for _, row in new)))
+            for x, row in new:
+                rows[x] = row if q == 1 else [d**q for d in row]
+        return (
+            [rows[x] for x in xs],
+            _weights_at(a, weight_scale),
+            demand_at[weight_scale],
+            coord_scale**q,
+            weight_scale,
+        )
+
+    return build
+
+
+def _integer_instance(mu: DiscreteMeasure, nu: DiscreteMeasure, q: int):
+    """The exact problem of (mu, nu), from a builder of its own, so that
+    every list, cost rows included, is new on each call: a caller may
+    edit them, and the certificate compares margins with supply and
+    demand as lists."""
+    return _instance_builder(nu, q)(mu)
 
 
 @dataclass(frozen=True)
@@ -329,11 +349,12 @@ def _two_line_solution(cost, supply, demand):
     column 0 takes, v = (d, 0) and u_i = min(c_i0 - d, c_i1) price every
     cell at >= 0, and at 0 where a row sends flow: rows before it in the
     order have differences <= d, rows after it >= d, and it has d.
-    Two rows take the same route on the transposed instance.
+    Two rows take the same route on the transposed instance, whose
+    flows are read back one row at a time, with no sort.
     """
     if len(demand) != 2:
         total, flows, u, v = _two_line_solution([*zip(*cost)], demand, supply)
-        return total, dict(sorted(((i, j), x) for (j, i), x in flows.items())), v, u
+        return total, {(i, j): x for i in (0, 1) for (j, k), x in flows.items() if k == i}, v, u
     diffs = [c0 - c1 for c0, c1 in cost]
     taken = [0] * len(supply)
     left = demand[0]
@@ -484,55 +505,31 @@ def wasserstein_pow(mu: DiscreteMeasure, nu: DiscreteMeasure, p=2) -> Scalar:
 
 def wasserstein_pows(mu: DiscreteMeasure, nus, p=2) -> list:
     """[wasserstein_pow(mu, nu, p) for nu in nus], exceptions included,
-    with every exact problem built from one integer source.
+    with every exact problem built by one `_instance_builder`.
 
-    Each exact target gets the instance `_integer_instance(mu, nu, p)`
-    would build, at the pair's own least scales L and W, and its vertex
-    from `_certified_solve`, certificate and all.  mu's coordinates are
-    rescaled once per common coordinate scale and its weights once per
-    common weight scale.  A target point's cost column, dm to every atom
-    of mu, is built once per coordinate scale: checked against
-    _MAX_COST_BITS before it is powered, so a target raises where its
-    pair would, and powered once.  Any other problem takes `_solve`.
+    W_p is symmetric and a certified optimum is one exact number, so
+    each exact pair is solved as (nu, mu), with mu fixed as the columns:
+    mu is rescaled once per common scale, and each distinct target
+    point's cost row is built and checked against _MAX_COST_BITS once
+    per coordinate scale, so a target raises where its pair would.  The
+    instance of each target is `_integer_instance(nu, mu, p)`, and its
+    vertex comes from `_certified_solve`, certificate and all.  Any
+    other problem takes `_solve`.
     """
     nus = list(nus)
     if nus:
         _require_valid_p(p)
     if not (mu.exact and is_integer_exponent(p)):
         return [_solve(mu, nu, p).power for nu in nus]
-    q = int(p)
-    a = mu.integer
-    # coordinate scale -> (mu's coordinates, {target point: cost column})
-    rows_at = {}
-    # weight scale -> mu's weights, which every solve only reads
-    supply_at = {}
+    build = _instance_builder(mu, int(p))
     powers = []
     for nu in nus:
-        b = nu.integer
-        if b is None:
+        if not nu.exact:
             powers.append(_solve(mu, nu, p).power)
             continue
-        coord_scale = math.lcm(a.coord_scale, b.coord_scale)
-        weight_scale = math.lcm(a.weight_scale, b.weight_scale)
-        if coord_scale not in rows_at:
-            rows_at[coord_scale] = _coords_at(a, coord_scale), {}
-        xs, columns = rows_at[coord_scale]
-        if weight_scale not in supply_at:
-            supply_at[weight_scale] = _weights_at(a, weight_scale)
-        cols = []
-        for y in _coords_at(b, coord_scale):
-            col = columns.get(y)
-            if col is None:
-                y1, y2 = y
-                col = [max(abs(x1 - y1), abs(x2 - y2)) for x1, x2 in xs]
-                _require_cost_bits(q, max(coord_scale, max(col)))
-                if q != 1:
-                    col = [d**q for d in col]
-                columns[y] = col
-            cols.append(col)
-        cost = list(map(list, zip(*cols)))
-        total = _certified_solve(cost, supply_at[weight_scale], _weights_at(b, weight_scale))[0]
-        powers.append(Fraction(total, weight_scale * coord_scale**q))
+        cost, supply, demand, cost_scale, weight_scale = build(nu)
+        total = _certified_solve(cost, supply, demand)[0]
+        powers.append(Fraction(total, weight_scale * cost_scale))
     return powers
 
 

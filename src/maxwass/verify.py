@@ -9,11 +9,12 @@ in the frame of the grid's centre y: the candidates sit around the
 origin, each beside its distance to the origin Dirac, solved once per
 process, and a sweep moves the measures it checks by -y once.  A
 failure names its candidate moved back around y.  Where a checker
-solves one measure against many, as the template solves delta_0 and
-the diag-char converse solves the moved measure against every
-candidate, it asks `transport.wasserstein_pows` for the whole row,
+solves one measure against many, as the template solves delta_0, the
+diag-char converse the moved measure against every candidate and the
+same-diag converse each moved measure against the candidates its
+filters keep, it asks `transport.wasserstein_pows` for the whole row,
 which rescales that measure once per common scale and builds each
-candidate point's cost column once, not once per candidate.
+candidate point's cost row once, not once per candidate.
 run_suite hands each suite its own random stream, seeded by the
 suite's name and the seed, so identical (suite, seed) runs produce
 identical reports.
@@ -231,8 +232,7 @@ def check_same_diag_char(mu1, mu2, nu_samples) -> CheckReport:
             d_ne = wasserstein_pow(nu, eta, 1)
             ok = d_ne == 1
             for m in (mu1, mu2):
-                d_mn = wasserstein_pow(m, nu, 1)
-                d_me = wasserstein_pow(m, eta, 1)
+                d_mn, d_me = wasserstein_pows(m, [nu, eta], 1)
                 ok = ok and d_me == d_mn + d_ne
             if not ok:
                 report.fail(kind="forward-chain", nu=nu.atoms)
@@ -241,18 +241,17 @@ def check_same_diag_char(mu1, mu2, nu_samples) -> CheckReport:
     _require_exact(mu1, mu2)
     y = _midpoint(*_non_codiag_pair(mu1.points(), mu2.points()))
     moved1, moved2 = _to_origin(y, mu1), _to_origin(y, mu2)
-    d1n = wasserstein_pow(moved1, _ORIGIN_DIRAC, 1)
-    d2n = wasserstein_pow(moved2, _ORIGIN_DIRAC, 1)
     # span 2 so the grid reaches distance 1 from y, where the unit-shift
     # condition d(nu, eta) = 1 can actually be met
     report.notes.append(_eta_grid_note(2))
-    for eta, d_ne in _eta_template(2, 1):
-        report.count()
-        if d_ne != 1:
-            continue
-        if wasserstein_pow(moved1, eta, 1) != d1n + d_ne:
-            continue
-        if wasserstein_pow(moved2, eta, 1) == d2n + d_ne:
+    template = _eta_template(2, 1)
+    report.instances += len(template)
+    units = [eta for eta, d_ne in template if d_ne == 1]
+    d1n, *d1es = wasserstein_pows(moved1, [_ORIGIN_DIRAC, *units], 1)
+    aligned = [eta for eta, d1e in zip(units, d1es) if d1e == d1n + 1]
+    d2n, *d2es = wasserstein_pows(moved2, [_ORIGIN_DIRAC, *aligned], 1)
+    for eta, d2e in zip(aligned, d2es):
+        if d2e == d2n + 1:
             report.fail(kind="converse-alignment", eta=_around(y, eta))
     return report
 
@@ -321,6 +320,7 @@ def check_unique_geodesic(x: Point2, mu: DiscreteMeasure, p=2) -> CheckReport:
     delta = DiscreteMeasure.dirac(x)
     if not (delta.exact and mu.exact and is_integer_exponent(p)):
         raise ConstraintError("the unique-geodesic check needs exact measures and an integer p")
+    p = int(p)
     on_diag = all(same_diagonal(x, yi) for yi in mu.points())
     base = wasserstein_pow(delta, mu, p)
     if on_diag:
@@ -556,6 +556,7 @@ def check_q_functional(mu: DiscreteMeasure, p=2, nu_samples=()) -> CheckReport:
         J(nu) = d^p(mu_r, nu) + d^p(nu, mu_u) >= 2^(1-p) d^p(mu_r, mu_u)
 
     with equality only at nu = mu; each sampled nu != mu must exceed.
+    The bound is compared exactly, so mu must be exact and p an integer.
     """
     if p <= 1:
         raise ConstraintError("the functional bound concerns p > 1")
@@ -563,6 +564,9 @@ def check_q_functional(mu: DiscreteMeasure, p=2, nu_samples=()) -> CheckReport:
         not (0 <= x.x1 <= 1) for x in mu.points()
     ):
         raise ConstraintError("mu must live on the diagonal segment from (0,0) to (1,1)")
+    if not (mu.exact and is_integer_exponent(p)):
+        raise ConstraintError("the q-functional check needs an exact measure and an integer p")
+    p = int(p)
     report = CheckReport(f"q-functional-p{p}")
     mu_r = push_forward(_p_right, mu)
     mu_u = push_forward(_p_up, mu)

@@ -300,11 +300,13 @@ def test_unique_geodesic_checker_both_sides():
     on_cross = DiscreteMeasure(
         [(Point2(F(1), F(1)), F(1, 2)), (Point2(F(2), F(-2)), F(1, 2))]
     )
-    assert check_unique_geodesic(x, on_cross, 2).passed
     off_cross = DiscreteMeasure(
         [(Point2(F(2), F(1)), F(1, 2)), (Point2(F(1), F(1)), F(1, 2))]
     )
-    assert check_unique_geodesic(x, off_cross, 2).passed
+    # a whole float p passes the integer-exponent guard as its int
+    for p in (2, 2.0):
+        assert check_unique_geodesic(x, on_cross, p).passed
+        assert check_unique_geodesic(x, off_cross, p).passed
 
 
 @pytest.mark.parametrize(
@@ -364,10 +366,23 @@ def test_q_functional_checker():
     )
     report = check_q_functional(mu, 2, [jig])
     assert report.passed
+    # a whole float p is taken as its int
+    assert check_q_functional(mu, 2.0, [jig]) == report
     with pytest.raises(ConstraintError):
         check_q_functional(mu, 1, [])
     with pytest.raises(ConstraintError):
         check_q_functional(jig, 2, [])
+
+
+@pytest.mark.parametrize(
+    "c, w, p", [(0.25, 1.0, 2), (F(1, 4), F(1), 2.5)], ids=["float-measure", "fractional-p"]
+)
+def test_q_functional_checker_needs_an_exact_problem(c, w, p):
+    """Its bound is compared exactly, so a float measure or a p that is
+    not a whole number is refused up front."""
+    mu = DiscreteMeasure([(Point2(c, c), w)])
+    with pytest.raises(ConstraintError, match="exact measure and an integer p"):
+        check_q_functional(mu, p, [])
 
 
 def test_corner_interval_checker():
@@ -465,6 +480,32 @@ def test_diag_char_converse_solves_once_per_candidate(monkeypatch):
     assert report.passed and report.instances == 117
     assert len(calls) == 1 + 117
     assert len(built) <= 2
+
+
+def test_same_diag_converse_solves_two_rows(monkeypatch):
+    """With the span-2 template warm, the same-diag converse solves the
+    first moved measure against every candidate at distance 1 from
+    delta_0 in one `wasserstein_pows` row, and the second against the
+    candidates aligned with the first in another; each candidate counts
+    once."""
+    mu1 = DiscreteMeasure.dirac(Point2(F(0), F(0)))
+    mu2 = DiscreteMeasure([(Point2(F(0), F(2)), F(1, 2)), (Point2(F(1), F(3)), F(1, 2))])
+    template = _eta_template(2, 1)
+    units = [eta for eta, power in template if power == 1]
+    rows = []
+    batch = verify.wasserstein_pows
+
+    def recording(mu, nus, p):
+        rows.append(list(nus))
+        return batch(mu, nus, p)
+
+    monkeypatch.setattr(verify, "wasserstein_pows", recording)
+    report = check_same_diag_char(mu1, mu2, [])
+    assert report.passed and report.instances == len(template)
+    assert len(rows) == 2
+    assert rows[0] == [verify._ORIGIN_DIRAC, *units]
+    assert rows[1][0] == verify._ORIGIN_DIRAC
+    assert all(eta in units for eta in rows[1][1:])
 
 
 def test_converse_failure_names_its_candidate_around_y(monkeypatch):
