@@ -23,7 +23,7 @@ preorder: the start sets parent, flow and potential for the row or
 column each cell opens, and the first pivot reads the index off that
 order, so a solve whose starting tree is already optimal never builds
 it.  Most solves are such: over the eight short `maxwass verify`
-suites at seeds 0-2, 467 of the 1,085 solves that reach it pivot.
+suites at seeds 0-2, 430 of the 1,007 solves that reach it pivot.
 The tree is kept strongly feasible (W. H. Cunningham, "A network
 simplex method", Math. Programming 11, 1976): every zero-flow tree
 cell points from its child toward the root.  Leaving by the last

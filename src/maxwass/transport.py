@@ -25,36 +25,32 @@ Measures fix their exactness when they are built, a solve decides its
 own once, and its plan takes that verdict.
 
 Every exact solve goes through `_certified_solve`, which takes an
-integer instance (cost, supply, demand).  When a side has one atom it
-returns the product plan with the potentials the simplex would give it,
-and certifies it in O(n) ints: every flow is positive and the atom's
-margin equals the other side's total, and a feasible plan is optimal
-when it is the only coupling.  When a side has two atoms it fills one
-of them greedily, the other lines in order of their cost difference
-between the two, and reads the potentials off the last line it fills.
-Otherwise the simplex runs.  The final potentials u, v of either are
-checked in ints against the flows x (x >= 0 with the exact margins,
-c - u_i - v_j >= 0 on every cell, and sum c*x == sum u*a + sum v*b),
-which proves the vertex optimal without trusting the greedy order or
-the pivot path.  One walk over the flows checks their signs and sums
-both their margins and sum c*x, and the three clauses are decided in
-that order.
+integer instance (cost, supply, demand) and picks its route by shape.
+When a side has one atom it returns the product plan with the
+potentials the simplex would give it.  When a side has two atoms it
+fills one of them greedily, the other lines in order of their cost
+difference between the two, and reads the potentials off the last line
+it fills.  Otherwise the simplex runs.  Whatever the route, its flows x
+and potentials u, v are then checked in ints (x > 0 with the exact
+margins, c - u_i - v_j >= 0 on every cell, and sum c*x == sum u*a +
+sum v*b), which proves the vertex optimal without trusting the route.
+One walk over the flows checks their signs and sums both their margins
+and sum c*x, and the three clauses are decided in that order.
 A failed certificate raises RuntimeError.  A solve returns the power
 and its vertex at the scale it ran on: integer flows and costs with
 their scales on exact problems.  Only `wasserstein` and the plan
 outputs of the CLI divide them into a `TransportPlan`, so
 `wasserstein_pow` builds no plan and no Fraction per cell.  A solver
 plan skips the plan's own checks: the certificate, or on floats the
-margin check at _FLOAT_MARGIN_TOL, has proved its margins already.
+margin check at _FLOAT_MARGIN_TOL that every float solve passes, has
+proved its margins already, and every route returns positive flows.
 
 Uniqueness of the optimal coupling (`is_unique_optimal_plan`) takes two
 certified solves: the problem itself, then a probe on the same margins
 whose costs come from the first solve's reduced costs and plan, and
 whose minimum is 0 iff that plan is the only optimal coupling.  It
-costs about twice a solve.  Where a side has one atom both solves take
-the product plan, which uses every cell, so every probe cost is 0.
-Where a side has two both take the two-line route: the probe needs
-only some certified optimal dual and a vertex, which that route gives.
+costs about twice a solve.  The probe needs only some certified optimal
+dual and a vertex, which every route gives.
 """
 
 from __future__ import annotations
@@ -91,7 +87,7 @@ _FLOAT_DUST = 1e-14
 
 
 def _require_valid_p(p):
-    if isinstance(p, bool) or p < 1:
+    if isinstance(p, bool) or not p >= 1:
         raise ConstraintError(f"exponent p must be >= 1, got {p!r}")
 
 
@@ -289,27 +285,30 @@ def _certificate_failure(cost, supply, demand, solution):
     (total, flows, u, v) is optimal iff the flows are feasible (x >= 0,
     row and column sums equal to supply and demand), the potentials are
     dual feasible (c_ij - u_i - v_j >= 0 on every cell) and the two
-    objectives meet: total == sum c*x == sum u*a + sum v*b.  One walk
-    over the flows checks their signs and sums their margins and sum
-    c*x; the clauses are then decided in that order.  All checks are
-    exact and take O(m*n).
+    objectives meet: total == sum c*x == sum u*a + sum v*b.  A zero
+    flow fails primal feasibility too: every route keeps only the
+    positive flows of its vertex, and a solver plan relies on that.
+    One walk over the flows checks their signs and sums their margins
+    and sum c*x; the clauses are then decided in that order.  All
+    checks are exact and take O(m*n).
     """
     total, flows, u, v = solution
     m, n = len(supply), len(demand)
     row, col = [0] * m, [0] * n
     primal = 0
     for (i, j), x in flows.items():
-        if x < 0:
+        if x <= 0:
             return "primal feasibility"
         row[i] += x
         col[j] += x
         primal += cost[i][j] * x
     if row != supply or col != demand:
         return "primal feasibility"
-    if len(u) != m or len(v) != n or any(
-        min(map(operator.sub, crow, v)) < ui for ui, crow in zip(u, cost)
-    ):
+    if len(u) != m or len(v) != n:
         return "dual feasibility"
+    for ui, crow in zip(u, cost):
+        if min(map(operator.sub, crow, v)) < ui:
+            return "dual feasibility"
     dual = sum(map(operator.mul, u, supply)) + sum(map(operator.mul, v, demand))
     if not total == primal == dual:
         return "strong duality"
@@ -322,9 +321,8 @@ def _product_solution(cost, supply, demand):
     northwest corner is the product plan and needs no pivot, its flows
     are the other side's weights as given, and its potentials are
     u_0 = 0, v_j = c_0j on a row, and v_0 = c_00, u_i = c_i0 - c_00 on
-    a column.  Every reduced cost is 0 and the total is sum c*x, so the
-    dual and strong-duality clauses of `_certificate_failure` hold by
-    construction.
+    a column.  Every reduced cost is 0 and the total is sum c*x, so an
+    exact answer fails `_certificate_failure` only where the margins do.
     """
     if len(supply) == 1:
         row = cost[0]
@@ -383,24 +381,18 @@ def _certified_solve(cost, supply, demand):
     Returns the (total, flows, u, v) of `solve_transportation`: from
     `_product_solution` when a side has one atom, in closed form from
     `_two_line_solution` when a side has two, and from the simplex
-    otherwise.  With one atom a feasible plan is the only coupling, so
-    feasibility alone proves it optimal: every flow is positive and the
-    atom's margin equals the other side's total, in O(n) ints.  The
-    two-line and simplex answers pass the full certificate.  A failed
-    certificate is a solver bug and raises RuntimeError, like the pivot
-    cap; no answer is returned.
+    otherwise.  Every route's answer then passes the same certificate,
+    `_certificate_failure`.  A failed certificate is a solver bug and
+    raises RuntimeError, like the pivot cap; no answer is returned.
     """
     if len(supply) == 1 or len(demand) == 1:
-        solution = _product_solution(cost, supply, demand)
-        atom, others = (supply[0], demand) if len(supply) == 1 else (demand[0], supply)
-        feasible = min(others) > 0 and sum(others) == atom
-        failed = None if feasible else "primal feasibility"
+        route = _product_solution
+    elif len(supply) == 2 or len(demand) == 2:
+        route = _two_line_solution
     else:
-        if len(supply) == 2 or len(demand) == 2:
-            solution = _two_line_solution(cost, supply, demand)
-        else:
-            solution = solve_transportation(cost, supply, demand, 0)
-        failed = _certificate_failure(cost, supply, demand, solution)
+        route = solve_transportation
+    solution = route(cost, supply, demand)
+    failed = _certificate_failure(cost, supply, demand, solution)
     if failed is not None:
         raise RuntimeError(f"exact solve failed its optimality certificate: {failed}")
     return solution
@@ -446,9 +438,9 @@ def _solve(mu: DiscreteMeasure, nu: DiscreteMeasure, p) -> _Solution:
     number, a float otherwise.  Exact problems, Diracs included, take
     `_certified_solve` and divide only the total by the instance's
     scales; the flows stay ints for a caller that keeps the plan.
-    Float problems where a side is one atom take `_product_solution` on
-    the float weights, and the others must meet every margin within
-    _FLOAT_MARGIN_TOL.
+    Float problems take `_product_solution` on the float weights where a
+    side is one atom and the simplex otherwise, and either answer must
+    meet every margin within _FLOAT_MARGIN_TOL.
     """
     _require_valid_p(p)
     if _is_exact_problem(mu, nu, p):
@@ -477,9 +469,8 @@ def _solve(mu: DiscreteMeasure, nu: DiscreteMeasure, p) -> _Solution:
         # the only coupling there is, with no rounding residue from the
         # simplex's northwest corner
         total, flows, _, _ = _product_solution(cost, supply, demand)
-        return _Solution(total, flows, cost, None, None)
-    tol = 1e-11 * max(1.0, top)
-    total, flows, _, _ = solve_transportation(cost, supply, demand, tol)
+    else:
+        total, flows, _, _ = solve_transportation(cost, supply, demand, 1e-11 * max(1.0, top))
     row, col = _margins(flows, len(supply), len(demand))
     if any(abs(g - t) > _FLOAT_MARGIN_TOL for g, t in zip(row + col, supply + demand)):
         raise RuntimeError("float solve returned flows off their margins")
@@ -621,14 +612,11 @@ def is_unique_optimal_plan(mu: DiscreteMeasure, nu: DiscreteMeasure, p=2) -> boo
     vertex differs from x.  Conversely, a second optimal coupling puts a
     second vertex on the optimal face, and that vertex leaves S: x is a
     vertex, so S is a forest, on which the margins fix the flows.  So
-    the minimum is 0 iff x is the only optimal coupling.  Where a side
-    has one atom x is the only coupling and uses every cell, so every
-    probe cost is 0 and the probe's product plan certifies that.  Where
-    a side has two atoms both solves take the two-line route, whose
-    potentials are another optimal dual than the simplex's: the tight
-    cells of any certified optimal dual carry exactly the optimal
-    couplings, so the argument holds as it stands, and the route's
-    flows are a forest too.
+    the minimum is 0 iff x is the only optimal coupling.  Every route's
+    potentials are certified, and the tight cells of any certified
+    optimal dual carry exactly the optimal couplings, so the argument
+    holds whichever route `_certified_solve` takes; every route's flows
+    are a forest.
     """
     if not is_integer_exponent(p):
         raise ConstraintError("uniqueness detection needs an integer exponent")

@@ -265,9 +265,19 @@ def _one_third_point(x1: Point2, x2: Point2) -> Point2:
 
 def check_dirac_char(mu: DiscreteMeasure, nu_samples, p=2) -> CheckReport:
     """mu is a Dirac <=> every nu admits the doubled mirror chain at
-    exponent p > 1 (via the ratio-2 dilation about the Dirac point)."""
+    exponent p > 1 (via the ratio-2 dilation about the Dirac point).
+    The chain is compared exactly, so the measures must be exact and p
+    an integer."""
     if p <= 1:
         raise ConstraintError("the Dirac characterization concerns p > 1")
+    nu_samples = list(nu_samples)
+    if not (
+        is_integer_exponent(p) and mu.exact and all(nu.exact for nu in nu_samples)
+    ):
+        raise ConstraintError(
+            "the Dirac characterization needs exact measures and an integer p"
+        )
+    p = int(p)
     report = CheckReport(f"dirac-characterization-p{p}")
     if mu.is_dirac:
         x = mu.points()[0]
@@ -282,7 +292,6 @@ def check_dirac_char(mu: DiscreteMeasure, nu_samples, p=2) -> CheckReport:
                 report.bump_residual(abs(pow_ne - base))
         return report
 
-    _require_exact(mu)
     pts = mu.points()
     x1, x2 = pts[0], pts[1]
     # y at the one-third point keeps d(x1,y) != d(x2,y), which is what
@@ -498,8 +507,14 @@ def check_opposite_sides(mu: DiscreteMeasure, nu: DiscreteMeasure, p=2) -> Check
 
     Equality holds iff every support pair is at distance 2, i.e. each
     pair sits on some pair of opposite sides (a corner atom can serve
-    two sides at once, so the pairwise form is the sharp one).
+    two sides at once, so the pairwise form is the sharp one).  The cap
+    is compared exactly, so the measures must be exact and p an integer.
     """
+    if not (mu.exact and nu.exact and is_integer_exponent(p)):
+        raise ConstraintError(
+            "the opposite-sides check needs exact measures and an integer p"
+        )
+    p = int(p)
     report = CheckReport(f"opposite-sides-p{p}")
     report.count()
     cap = 2 ** p

@@ -348,6 +348,21 @@ def test_invalid_p_rejected():
         wasserstein(mu, mu, F(1, 2))
 
 
+def test_nan_exponent_rejected():
+    """NaN compares False both ways, so `p < 1` would let it through."""
+    mu = DiscreteMeasure.dirac(Point2(F(0), F(0)))
+    nu = DiscreteMeasure([(Point2(F(1), F(0)), F(1, 2)), (Point2(F(0), F(2)), F(1, 2))])
+    nan = float("nan")
+    for call in (
+        lambda: wasserstein_pow(mu, nu, nan),
+        lambda: wasserstein(mu, nu, nan),
+        lambda: wasserstein_pows(mu, [nu], nan),
+    ):
+        with pytest.raises(ConstraintError, match="exponent p must be >= 1"):
+            call()
+    assert wasserstein_pows(mu, [], nan) == []
+
+
 def test_raw_transportation_solver_exact():
     cost = [[F(1), F(3)], [F(2), F(1)]]
     total, flows, u, v = solve_transportation(cost, [F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)])
@@ -835,6 +850,54 @@ def test_certificate_checks_the_one_atom_route(monkeypatch, edit):
 
     monkeypatch.setattr(transport, "_integer_instance", broken)
     assert_every_solve_raises(mu, nu, "certificate: primal feasibility")
+
+
+@pytest.mark.parametrize("dirac_first", [True, False], ids=["1x2", "2x1"])
+def test_certificate_checks_the_one_atom_routes_potentials(monkeypatch, dirac_first):
+    """The product plan with every u_i one up prices every cell at -1:
+    its flows and totals are right, and only the full certificate, which
+    every route passes, sees the potentials are wrong."""
+    mu = DiscreteMeasure.dirac(Point2(F(0), F(0)))
+    nu = DiscreteMeasure([(Point2(F(1), F(0)), F(1, 3)), (Point2(F(0), F(2)), F(2, 3))])
+    if not dirac_first:
+        mu, nu = nu, mu
+    real = transport._product_solution
+
+    def shifted(cost, supply, demand):
+        total, flows, u, v = real(cost, supply, demand)
+        return total, flows, [ui + 1 for ui in u], v
+
+    monkeypatch.setattr(transport, "_product_solution", shifted)
+    assert_every_solve_raises(mu, nu, "certificate: dual feasibility")
+    with pytest.raises(RuntimeError, match="certificate: dual feasibility"):
+        wasserstein_pows(mu, [nu], 1)
+
+
+@pytest.mark.parametrize("dirac_first", [True, False], ids=["1x2", "2x1"])
+def test_float_one_atom_route_checks_its_margins(monkeypatch, dirac_first):
+    """A float product plan with one flow 1e-6 up is off its margins
+    beyond 1e-9, and the check every float solve passes rejects it; one
+    1e-12 up is within them."""
+    mu = DiscreteMeasure.dirac(Point2(0.0, 0.0))
+    nu = DiscreteMeasure([(Point2(1.0, 0.0), 0.25), (Point2(0.0, 2.0), 0.75)])
+    if not dirac_first:
+        mu, nu = nu, mu
+    real = transport._product_solution
+
+    def off_by(delta):
+        def planted(cost, supply, demand):
+            total, flows, u, v = real(cost, supply, demand)
+            first = next(iter(flows))
+            return total, {**flows, first: flows[first] + delta}, u, v
+
+        return planted
+
+    monkeypatch.setattr(transport, "_product_solution", off_by(1e-6))
+    assert_every_solve_raises(
+        mu, nu, "float solve returned flows off their margins", exact=False
+    )
+    monkeypatch.setattr(transport, "_product_solution", off_by(1e-12))
+    assert wasserstein_pow(mu, nu, 1) == 1.75
 
 
 @pytest.mark.parametrize("edit", ["flow", "potential"])

@@ -295,6 +295,43 @@ def test_dirac_checker_branches():
         check_dirac_char(dirac, [], 1)
 
 
+def test_dirac_checker_takes_a_whole_float_p_as_its_int():
+    """2 ** 2.0 * base is a float, which an exact power rarely equals;
+    the checker compares at the int p."""
+    rng = random.Random(3)
+    dirac = DiscreteMeasure.dirac(Point2(F(0), F(0)))
+    nus = [rand_measure(rng, 3) for _ in range(6)]
+    report = check_dirac_char(dirac, nus, 2)
+    assert report.passed and report.instances == 6
+    assert check_dirac_char(dirac, nus, 2.0).passed
+    assert check_dirac_char(dirac, nus, 2.0) == report
+    two = DiscreteMeasure([(Point2(F(0), F(0)), F(1, 3)), (Point2(F(2), F(1)), F(2, 3))])
+    assert check_dirac_char(two, [], 3.0) == check_dirac_char(two, [], 3)
+
+
+_ORIGIN = DiscreteMeasure.dirac(Point2(F(0), F(0)))
+_PAIR = DiscreteMeasure([(Point2(F(1), F(0)), F(1, 3)), (Point2(F(0), F(2)), F(2, 3))])
+
+
+@pytest.mark.parametrize(
+    "mu, nus, p",
+    [
+        (_ORIGIN, [_PAIR], 2.5),
+        (_PAIR, [], F(5, 2)),
+        (_ORIGIN, [DiscreteMeasure([(Point2(1.0, 0.0), 0.5), (Point2(0.0, 2.0), 0.5)])], 2),
+        (DiscreteMeasure.dirac(Point2(0.0, 0.0)), [_PAIR], 2),
+    ],
+    ids=["fractional-p", "fractional-p-converse", "float-sample", "float-dirac"],
+)
+def test_dirac_checker_needs_an_exact_problem(mu, nus, p):
+    """Its chain is compared exactly, so a float measure or a p that is
+    not a whole number is refused up front, after the p > 1 check."""
+    with pytest.raises(ConstraintError, match="exact measures and an integer p"):
+        check_dirac_char(mu, nus, p)
+    with pytest.raises(ConstraintError, match="concerns p > 1"):
+        check_dirac_char(mu, nus, 1)
+
+
 def test_unique_geodesic_checker_both_sides():
     x = Point2(F(0), F(0))
     on_cross = DiscreteMeasure(
@@ -333,6 +370,31 @@ def test_opposite_sides_checker():
     interior = DiscreteMeasure.dirac(Point2(F(0), F(0)))
     report2 = check_opposite_sides(interior, right, 1)
     assert report2.passed
+    # a whole float p is taken as its int
+    assert check_opposite_sides(left, right, 2.0) == report
+
+
+@pytest.mark.parametrize(
+    "mu, nu, p",
+    [
+        (
+            DiscreteMeasure.dirac(Point2(F(-1), F(0))),
+            DiscreteMeasure([(Point2(F(1), F(1, 3)), F(1, 3)), (Point2(F(1), F(-1)), F(2, 3))]),
+            2.5,
+        ),
+        (
+            DiscreteMeasure.dirac(Point2(-1.0, 0.0)),
+            DiscreteMeasure.dirac(Point2(1.0, 0.5)),
+            2,
+        ),
+    ],
+    ids=["fractional-p", "float-measures"],
+)
+def test_opposite_sides_checker_needs_an_exact_problem(mu, nu, p):
+    """Its cap 2^p is compared exactly, so a float measure or a p that
+    is not a whole number is refused up front."""
+    with pytest.raises(ConstraintError, match="exact measures and an integer p"):
+        check_opposite_sides(mu, nu, p)
 
 
 def test_corner_atom_serves_two_sides():
