@@ -21,8 +21,9 @@ shared, never the search, so agreement between the two is a real check
 and is enforced wholesale by the acceptance suite.  `wasserstein_pows`
 solves one measure against many with one builder, which fixes that
 measure as the columns and builds each target point's cost row once.
-Measures fix their exactness when they are built, a solve decides its
-own once, and its plan takes that verdict.
+Measures fix their exactness when they are built.  Solves, the oracle
+and the probe decide theirs once, through `_exact_exponent`, which also
+refuses a p that is not finite and >= 1; a plan takes its solve's verdict.
 
 Every exact solve goes through `_certified_solve`, which takes an
 integer instance (cost, supply, demand) and picks its route by shape.
@@ -86,13 +87,18 @@ _FLOAT_MARGIN_TOL = 1e-9
 _FLOAT_DUST = 1e-14
 
 
-def _require_valid_p(p):
-    if isinstance(p, bool) or not p >= 1:
-        raise ConstraintError(f"exponent p must be >= 1, got {p!r}")
-
-
-def _is_exact_problem(mu: DiscreteMeasure, nu: DiscreteMeasure, p) -> bool:
-    return mu.exact and nu.exact and is_integer_exponent(p)
+def _exact_exponent(p, *measures) -> int | None:
+    """The one exact-versus-float decision: int(p) when p is whole and
+    every measure is exact, None for a float problem.  A bool, NaN, inf
+    or p < 1 raises a ConstraintError, whatever the measures."""
+    if isinstance(p, bool) or not 1 <= p < math.inf:
+        raise ConstraintError(f"exponent p must be >= 1 and finite, got {p!r}")
+    if not is_integer_exponent(p):
+        return None
+    for mu in measures:
+        if not mu.exact:
+            return None
+    return int(p)
 
 
 def _cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, fp: float):
@@ -431,23 +437,28 @@ class _Solution(NamedTuple):
         return Fraction(self.cost[i][j], self.cost_scale)
 
 
+def _exact_solution(instance) -> _Solution:
+    """The certified vertex of a built exact instance.  Only its total is
+    divided by the scales: the flows stay ints for a plan to keep."""
+    cost, supply, demand, cost_scale, weight_scale = instance
+    total, flows, _, _ = _certified_solve(cost, supply, demand)
+    power = Fraction(total, weight_scale * cost_scale)
+    return _Solution(power, flows, cost, weight_scale, cost_scale)
+
+
 def _solve(mu: DiscreteMeasure, nu: DiscreteMeasure, p) -> _Solution:
     """The one solve path: the optimal cost power and one optimal vertex.
 
-    The power is exact when both measures are exact and p is a whole
-    number, a float otherwise.  Exact problems, Diracs included, take
-    `_certified_solve` and divide only the total by the instance's
-    scales; the flows stay ints for a caller that keeps the plan.
+    The power is exact when `_exact_exponent` finds the problem exact,
+    a float otherwise.  Exact problems, Diracs included, take
+    `_exact_solution` on their `_integer_instance`.
     Float problems take `_product_solution` on the float weights where a
     side is one atom and the simplex otherwise, and either answer must
     meet every margin within _FLOAT_MARGIN_TOL.
     """
-    _require_valid_p(p)
-    if _is_exact_problem(mu, nu, p):
-        cost, supply, demand, cost_scale, weight_scale = _integer_instance(mu, nu, int(p))
-        total, flows, _, _ = _certified_solve(cost, supply, demand)
-        power = Fraction(total, weight_scale * cost_scale)
-        return _Solution(power, flows, cost, weight_scale, cost_scale)
+    q = _exact_exponent(p, mu, nu)
+    if q is not None:
+        return _exact_solution(_integer_instance(mu, nu, q))
 
     try:
         fp = float(p)
@@ -504,24 +515,20 @@ def wasserstein_pows(mu: DiscreteMeasure, nus, p=2) -> list:
     point's cost row is built and checked against _MAX_COST_BITS once
     per coordinate scale, so a target raises where its pair would.  The
     instance of each target is `_integer_instance(nu, mu, p)`, and its
-    vertex comes from `_certified_solve`, certificate and all.  Any
-    other problem takes `_solve`.
+    power comes from `_exact_solution`, certificate and all.  Any other
+    problem takes `_solve`.
     """
     nus = list(nus)
-    if nus:
-        _require_valid_p(p)
-    if not (mu.exact and is_integer_exponent(p)):
+    if not nus:
+        return []
+    q = _exact_exponent(p, mu)
+    if q is None:
         return [_solve(mu, nu, p).power for nu in nus]
-    build = _instance_builder(mu, int(p))
-    powers = []
-    for nu in nus:
-        if not nu.exact:
-            powers.append(_solve(mu, nu, p).power)
-            continue
-        cost, supply, demand, cost_scale, weight_scale = build(nu)
-        total = _certified_solve(cost, supply, demand)[0]
-        powers.append(Fraction(total, weight_scale * cost_scale))
-    return powers
+    build = _instance_builder(mu, q)
+    return [
+        _exact_solution(build(nu)).power if nu.exact else _solve(mu, nu, p).power
+        for nu in nus
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -581,15 +588,15 @@ def brute_force_wasserstein(mu: DiscreteMeasure, nu: DiscreteMeasure, p=2):
     Only defined for exact measures with integer p and support product
     at most 36; meant as the independent check of `wasserstein`.
     """
-    _require_valid_p(p)
-    if not _is_exact_problem(mu, nu, p):
+    q = _exact_exponent(p, mu, nu)
+    if q is None:
         raise ConstraintError("the exhaustive oracle needs exact weights and integer p")
     if mu.support_size * nu.support_size > _BRUTE_LIMIT:
         raise ConstraintError(
             f"support product {mu.support_size * nu.support_size} exceeds "
             f"the oracle bound {_BRUTE_LIMIT}"
         )
-    cost, supply, demand, cost_scale, weight_scale = _integer_instance(mu, nu, int(p))
+    cost, supply, demand, cost_scale, weight_scale = _integer_instance(mu, nu, q)
     best_scaled = _minimum_vertex_cost(cost, supply, demand)
     power = Fraction(best_scaled, weight_scale * cost_scale)
     return root_p(power, p), power
@@ -618,12 +625,10 @@ def is_unique_optimal_plan(mu: DiscreteMeasure, nu: DiscreteMeasure, p=2) -> boo
     holds whichever route `_certified_solve` takes; every route's flows
     are a forest.
     """
-    if not is_integer_exponent(p):
-        raise ConstraintError("uniqueness detection needs an integer exponent")
-    _require_valid_p(p)
-    if not (mu.exact and nu.exact):
-        raise ConstraintError("uniqueness detection needs exact measures")
-    cost, supply, demand, _, _ = _integer_instance(mu, nu, int(p))
+    q = _exact_exponent(p, mu, nu)
+    if q is None:
+        raise ConstraintError("uniqueness detection needs exact measures and an integer exponent")
+    cost, supply, demand, _, _ = _integer_instance(mu, nu, q)
     _, flows, u, v = _certified_solve(cost, supply, demand)
     k = sum(supply) + 1
     probe = []

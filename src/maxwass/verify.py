@@ -15,6 +15,10 @@ same-diag converse each moved measure against the candidates its
 filters keep, it asks `transport.wasserstein_pows` for the whole row,
 which rescales that measure once per common scale and builds each
 candidate point's cost row once, not once per candidate.
+A checker that compares W_p powers exactly refuses a float problem up
+front through `_exact_p`, transport's one decision: dirac-char,
+unique-geodesic, opposite-sides and q-functional (on mu) at their p,
+and diag-char, same-diag and diag-saturation at p = 1.
 run_suite hands each suite its own random stream, seeded by the
 suite's name and the seed, so identical (suite, seed) runs produce
 identical reports.
@@ -44,8 +48,8 @@ from .measure import (
     kloeckner_measure,
     push_forward,
 )
-from .scalars import ConstraintError, ParseError, halve, is_integer_exponent
-from .transport import brute_force_wasserstein, wasserstein_pow, wasserstein_pows
+from .scalars import ConstraintError, ParseError, halve
+from .transport import _exact_exponent, brute_force_wasserstein, wasserstein_pow, wasserstein_pows
 from .wgeom import _slide, symmetric_wp
 
 
@@ -127,12 +131,13 @@ def _around(y: Point2, eta: DiscreteMeasure):
     return push_forward(lambda x: x + y, eta).atoms
 
 
-def _require_exact(*measures):
-    """The converse sweeps solve the measures they check, moved by -y,
-    against candidates around the origin, which gives the distances
-    around y only on exact coordinates."""
-    if not all(mu.exact for mu in measures):
-        raise ConstraintError("the converse check needs exact measures")
+def _exact_p(what: str, p, *measures) -> int:
+    """p as an int for a checker that compares W_p powers exactly, or a
+    ConstraintError naming `what` when the problem is not exact."""
+    q = _exact_exponent(p, *measures)
+    if q is None:
+        raise ConstraintError(f"the {what} needs exact measures and an integer p")
+    return q
 
 
 def _non_codiag_pair(points_a, points_b):
@@ -174,9 +179,10 @@ def check_diag_support_char(mu: DiscreteMeasure, nu_samples) -> CheckReport:
     the chain, which forces the characterization to fail.
     """
     report = CheckReport("diag-support-characterization")
+    nus = list(nu_samples)
+    _exact_p("diagonal-support characterization", 1, mu, *nus)
     line = mu.diagonal_line()
     if line is not None:
-        nus = list(nu_samples)
         d_mns = wasserstein_pows(mu, nus, 1)
         etas = [_slide(line, nu, d_mn) for nu, d_mn in zip(nus, d_mns)]
         for nu, eta, d_mn, d_me in zip(nus, etas, d_mns, wasserstein_pows(mu, etas, 1)):
@@ -190,7 +196,6 @@ def check_diag_support_char(mu: DiscreteMeasure, nu_samples) -> CheckReport:
                 report.bump_residual(max(abs(d_mn - d_ne), abs(d_me - 2 * d_mn)))
         return report
 
-    _require_exact(mu)
     y = _midpoint(*_non_codiag_pair(mu.points(), mu.points()))
     moved = _to_origin(y, mu)
     template = _eta_template(1, 1)
@@ -218,6 +223,8 @@ def check_same_diag_char(mu1, mu2, nu_samples) -> CheckReport:
     report = CheckReport("same-diagonal-characterization")
     if mu1.diagonal_line() is None or mu2.diagonal_line() is None:
         raise ConstraintError("both measures must be diagonally supported")
+    nu_samples = list(nu_samples)
+    _exact_p("same-diagonal characterization", 1, mu1, mu2, *nu_samples)
 
     # a Dirac lies on one line of each slope, so test for a shared line
     # directly rather than comparing per-measure lines
@@ -238,7 +245,6 @@ def check_same_diag_char(mu1, mu2, nu_samples) -> CheckReport:
                 report.fail(kind="forward-chain", nu=nu.atoms)
         return report
 
-    _require_exact(mu1, mu2)
     y = _midpoint(*_non_codiag_pair(mu1.points(), mu2.points()))
     moved1, moved2 = _to_origin(y, mu1), _to_origin(y, mu2)
     # span 2 so the grid reaches distance 1 from y, where the unit-shift
@@ -271,13 +277,7 @@ def check_dirac_char(mu: DiscreteMeasure, nu_samples, p=2) -> CheckReport:
     if p <= 1:
         raise ConstraintError("the Dirac characterization concerns p > 1")
     nu_samples = list(nu_samples)
-    if not (
-        is_integer_exponent(p) and mu.exact and all(nu.exact for nu in nu_samples)
-    ):
-        raise ConstraintError(
-            "the Dirac characterization needs exact measures and an integer p"
-        )
-    p = int(p)
+    p = _exact_p("Dirac characterization", p, mu, *nu_samples)
     report = CheckReport(f"dirac-characterization-p{p}")
     if mu.is_dirac:
         x = mu.points()[0]
@@ -324,12 +324,10 @@ def check_unique_geodesic(x: Point2, mu: DiscreteMeasure, p=2) -> CheckReport:
     measures.  The midpoint distances are compared exactly, so the
     problem must be exact: exact measures and an integer p.
     """
+    delta = DiscreteMeasure.dirac(x)
+    p = _exact_p("unique-geodesic check", p, delta, mu)
     report = CheckReport(f"unique-geodesic-p{p}")
     report.count()
-    delta = DiscreteMeasure.dirac(x)
-    if not (delta.exact and mu.exact and is_integer_exponent(p)):
-        raise ConstraintError("the unique-geodesic check needs exact measures and an integer p")
-    p = int(p)
     on_diag = all(same_diagonal(x, yi) for yi in mu.points())
     base = wasserstein_pow(delta, mu, p)
     if on_diag:
@@ -510,11 +508,7 @@ def check_opposite_sides(mu: DiscreteMeasure, nu: DiscreteMeasure, p=2) -> Check
     two sides at once, so the pairwise form is the sharp one).  The cap
     is compared exactly, so the measures must be exact and p an integer.
     """
-    if not (mu.exact and nu.exact and is_integer_exponent(p)):
-        raise ConstraintError(
-            "the opposite-sides check needs exact measures and an integer p"
-        )
-    p = int(p)
+    p = _exact_p("opposite-sides check", p, mu, nu)
     report = CheckReport(f"opposite-sides-p{p}")
     report.count()
     cap = 2 ** p
@@ -541,6 +535,7 @@ def check_opposite_sides(mu: DiscreteMeasure, nu: DiscreteMeasure, p=2) -> Check
 def check_diag_saturation(mu: DiscreteMeasure) -> CheckReport:
     """Corner-to-corner W1 through mu saturates at 2 exactly when mu
     rides the main diagonal of Q."""
+    _exact_p("diagonal-saturation check", 1, mu)
     report = CheckReport("diagonal-saturation")
     report.count()
     lo = DiscreteMeasure.dirac(Point2(Fraction(-1), Fraction(-1)))
@@ -579,9 +574,7 @@ def check_q_functional(mu: DiscreteMeasure, p=2, nu_samples=()) -> CheckReport:
         not (0 <= x.x1 <= 1) for x in mu.points()
     ):
         raise ConstraintError("mu must live on the diagonal segment from (0,0) to (1,1)")
-    if not (mu.exact and is_integer_exponent(p)):
-        raise ConstraintError("the q-functional check needs an exact measure and an integer p")
-    p = int(p)
+    p = _exact_p("q-functional check", p, mu)
     report = CheckReport(f"q-functional-p{p}")
     mu_r = push_forward(_p_right, mu)
     mu_u = push_forward(_p_up, mu)

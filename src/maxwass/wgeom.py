@@ -111,7 +111,7 @@ def _slide(line: DiagonalLine, nu: DiscreteMeasure, t0: Scalar) -> DiscreteMeasu
 def symmetric_wp(x: Point2, nu: DiscreteMeasure, p=2) -> DiscreteMeasure:
     """The p > 1 mirror of nu as seen from a Dirac at x: the dilation
     with ratio 2 about x, which doubles every distance to x."""
-    if p <= 1:
+    if not p > 1:
         raise ConstraintError(f"the dilation construction needs p > 1, got {p!r}")
     return push_forward(lambda y: dilate(x, y), nu)
 

@@ -349,18 +349,22 @@ def test_invalid_p_rejected():
 
 
 def test_nan_exponent_rejected():
-    """NaN compares False both ways, so `p < 1` would let it through."""
+    """NaN compares False both ways, so `p < 1` would let it through;
+    inf passes `p >= 1`, and its costs dm^inf round to 0 below 1.  The
+    solves, the oracle and the probe all refuse both."""
     mu = DiscreteMeasure.dirac(Point2(F(0), F(0)))
     nu = DiscreteMeasure([(Point2(F(1), F(0)), F(1, 2)), (Point2(F(0), F(2)), F(1, 2))])
-    nan = float("nan")
-    for call in (
-        lambda: wasserstein_pow(mu, nu, nan),
-        lambda: wasserstein(mu, nu, nan),
-        lambda: wasserstein_pows(mu, [nu], nan),
-    ):
-        with pytest.raises(ConstraintError, match="exponent p must be >= 1"):
-            call()
-    assert wasserstein_pows(mu, [], nan) == []
+    for p in (float("nan"), float("inf")):
+        for call in (
+            lambda: wasserstein_pow(mu, nu, p),
+            lambda: wasserstein(mu, nu, p),
+            lambda: wasserstein_pows(mu, [nu], p),
+            lambda: brute_force_wasserstein(mu, nu, p),
+            lambda: is_unique_optimal_plan(mu, nu, p),
+        ):
+            with pytest.raises(ConstraintError, match="exponent p must be >= 1"):
+                call()
+        assert wasserstein_pows(mu, [], p) == []
 
 
 def test_raw_transportation_solver_exact():

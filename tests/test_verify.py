@@ -346,6 +346,12 @@ def test_unique_geodesic_checker_both_sides():
         assert check_unique_geodesic(x, off_cross, p).passed
 
 
+def test_unique_geodesic_report_names_the_whole_p():
+    """A whole float p is named as its int, as in the other reports."""
+    mu = DiscreteMeasure.dirac(Point2(F(1), F(1)))
+    assert check_unique_geodesic(Point2(F(0), F(0)), mu, 2.0).name == "unique-geodesic-p2"
+
+
 @pytest.mark.parametrize(
     "x, atom, p",
     [((0.0, 0), F(1), 2), ((0, 0), 0.5, 2), ((0, 0), F(1), F(3, 2))],
@@ -443,7 +449,7 @@ def test_q_functional_checker_needs_an_exact_problem(c, w, p):
     """Its bound is compared exactly, so a float measure or a p that is
     not a whole number is refused up front."""
     mu = DiscreteMeasure([(Point2(c, c), w)])
-    with pytest.raises(ConstraintError, match="exact measure and an integer p"):
+    with pytest.raises(ConstraintError, match="exact measures and an integer p"):
         check_q_functional(mu, p, [])
 
 
@@ -488,6 +494,7 @@ def test_template_powers_are_the_solved_dirac_powers(x1, x2, p, span, draw):
 
 
 _HALF = F(1, 2)
+_FLOAT_DIAGONAL = DiscreteMeasure([(Point2(0.1, 0.1), _HALF), (Point2(0.3, 0.3), _HALF)])
 
 
 @pytest.mark.parametrize(
@@ -507,8 +514,23 @@ _HALF = F(1, 2)
         lambda: check_dirac_char(
             DiscreteMeasure([(Point2(0.0, 0.0), F(1, 3)), (Point2(F(2), F(1)), F(2, 3))]), [], 2
         ),
+        # the forward chains and the saturation compare exact powers too
+        lambda: check_diag_support_char(
+            _FLOAT_DIAGONAL, [DiscreteMeasure.dirac(Point2(0.7, 0.2))]
+        ),
+        lambda: check_same_diag_char(
+            _FLOAT_DIAGONAL,
+            DiscreteMeasure.dirac(Point2(0.6, 0.6)),
+            [DiscreteMeasure([(Point2(0.7, 0.2), _HALF), (Point2(-0.3, 0.9), _HALF)])],
+        ),
+        lambda: check_diag_saturation(
+            DiscreteMeasure([(Point2(0.3, 0.3), 0.1), (Point2(0.6, 0.6), 0.9)])
+        ),
     ],
-    ids=["diag-char-coordinate", "diag-char-weight", "same-diag", "dirac-char"],
+    ids=[
+        "diag-char-coordinate", "diag-char-weight", "same-diag", "dirac-char",
+        "diag-char-forward", "same-diag-forward", "diag-saturation",
+    ],
 )
 def test_converse_checks_reject_float_measures(check):
     with pytest.raises(ConstraintError, match="exact measures"):

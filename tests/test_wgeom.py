@@ -136,6 +136,14 @@ def test_symmetric_wp_rejects_p1():
         symmetric_wp(Point2(F(0), F(0)), DiscreteMeasure.dirac(Point2(F(1), F(1))), 1)
 
 
+def test_symmetric_wp_rejects_nan():
+    """NaN compares False both ways, so `p <= 1` would let it through."""
+    with pytest.raises(ConstraintError, match="needs p > 1"):
+        symmetric_wp(
+            Point2(F(0), F(0)), DiscreteMeasure.dirac(Point2(F(1), F(1))), float("nan")
+        )
+
+
 def test_interpolation_endpoints_and_midpoint():
     corner = Point2(F(1), F(1))
     mu = DiscreteMeasure.dirac(Point2(F(-1), F(-1)))
