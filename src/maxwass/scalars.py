@@ -64,8 +64,10 @@ _EXACT_TYPES = frozenset((int, Fraction))
 
 
 def is_exact(v: Scalar) -> bool:
-    return type(v) in _EXACT_TYPES or (
-        isinstance(v, (int, Fraction)) and not isinstance(v, bool)
+    # a float leaves before isinstance(v, Fraction), an ABC instance check
+    t = type(v)
+    return t in _EXACT_TYPES or (
+        t is not float and isinstance(v, (int, Fraction)) and not isinstance(v, bool)
     )
 
 

@@ -8,13 +8,23 @@ grid in the report notes.  Those searches take exact measures and run
 in the frame of the grid's centre y: the candidates sit around the
 origin, each beside its distance to the origin Dirac, solved once per
 process, and a sweep moves the measures it checks by -y once.  A
-failure names its candidate moved back around y.  Where a checker
-solves one measure against many, as the template solves delta_0, the
-diag-char converse the moved measure against every candidate and the
-same-diag converse each moved measure against the candidates its
-filters keep, it asks `transport.wasserstein_pows` for the whole row,
-which rescales that measure once per common scale and builds each
-candidate point's cost row once, not once per candidate.
+failure names its candidate moved back around y.
+The diag-char and same-diag converses decide every candidate eta but
+solve few.  The moved measure m is solved against the lattice Diracs;
+a lattice point z is tight when d(m, delta_z) = d(m, delta_0) + |z|,
+and only a candidate whose atoms are all tight is solved.  Any other
+eta = sum_z w_z delta_z has d(m, eta) < d(m, delta_0) + d(delta_0, eta),
+so it neither aligns with m through delta_0 nor closes a chain:
+
+    d(m, eta) <= sum_z w_z d(m, delta_z)          (product couplings)
+              <  sum_z w_z (d(m, delta_0) + |z|)   (one atom not tight)
+              =  d(m, delta_0) + d(delta_0, eta).
+
+Where a checker solves one measure against many, as the template
+solves delta_0 and the converses each moved measure, it asks
+`transport.wasserstein_pows` for the whole row, which rescales that
+measure once per common scale and builds each candidate point's cost
+row once, not once per candidate.
 A checker that compares W_p powers exactly refuses a float problem up
 front through `_exact_p`, transport's one decision: dirac-char,
 unique-geodesic, opposite-sides and q-functional (on mu) at their p,
@@ -99,26 +109,54 @@ _ORIGIN_DIRAC = DiscreteMeasure.dirac(_ORIGIN)
 
 
 @functools.cache
+def _eta_grid(span: int) -> tuple:
+    """The candidate grid around the origin as (eta, ks) pairs: the
+    Diracs on the lattice (i, j)/2 with |i|, |j| <= span, i major, then
+    each pair of its points with weights w, 1 - w for w in {1/4, 1/2,
+    3/4}.  ks holds the lattice indices of eta's atoms, so the Dirac at
+    lattice point k is candidate k."""
+    offsets = [Fraction(i, 2) for i in range(-span, span + 1)]
+    lattice = [Point2(a, b) for a in offsets for b in offsets]
+    grid = [(DiscreteMeasure.dirac(x), (k,)) for k, x in enumerate(lattice)]
+    grid += [
+        (DiscreteMeasure([(lattice[k], w), (lattice[l], 1 - w)]), (k, l))
+        for k in range(len(lattice))
+        for l in range(k + 1, len(lattice))
+        for w in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
+    ]
+    return tuple(grid)
+
+
+@functools.cache
 def _eta_template(span: int, p) -> tuple:
-    """The candidate grid around the origin as (eta, d_p^p(delta_0, eta))
-    pairs: the Diracs on the lattice (i, j)/2 with |i|, |j| <= span, i
-    major, then each pair of its points with weights w, 1 - w for w in
-    {1/4, 1/2, 3/4}.
+    """The candidate grid of `_eta_grid` as (eta, d_p^p(delta_0, eta))
+    pairs.
 
     dm is translation invariant on both sides, d(mu, eta + y) =
     d(mu - y, eta), so a sweep around y moves the measures it checks by
     -y once and solves them against these candidates; a process solves
     each (span, p) grid once, at its first converse sweep."""
-    offsets = [Fraction(i, 2) for i in range(-span, span + 1)]
-    lattice = [Point2(a, b) for a in offsets for b in offsets]
-    etas = [DiscreteMeasure.dirac(x) for x in lattice]
-    etas += [
-        DiscreteMeasure([(x, w), (z, 1 - w)])
-        for k, x in enumerate(lattice)
-        for z in lattice[k + 1:]
-        for w in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
-    ]
+    etas = [eta for eta, _ in _eta_grid(span)]
     return tuple(zip(etas, wasserstein_pows(_ORIGIN_DIRAC, etas, p)))
+
+
+def _aligned_row(moved: DiscreteMeasure, span: int, picks) -> tuple:
+    """d_1(moved, delta_0), and d_1(moved, eta) by index, in the order of
+    picks, for each picked template candidate whose atoms are all tight.
+    Every other candidate cannot align with moved through delta_0 (see
+    the module docstring) and is left out.  moved is solved against the
+    lattice Diracs in one row and against the kept two-atom candidates
+    in another."""
+    grid = _eta_grid(span)
+    row = wasserstein_pows(moved, [delta for delta, _ in grid[:(2 * span + 1) ** 2]], 1)
+    d_0 = row[len(row) // 2]  # the origin is the lattice's middle point
+    # the template's lattice Diracs carry |z| = d(delta_0, delta_z)
+    tight = [d == d_0 + r for d, (_, r) in zip(row, _eta_template(span, 1))]
+    kept = [k for k in picks if all(tight[z] for z in grid[k][1])]
+    pairs = [k for k in kept if k >= len(row)]
+    known = dict(enumerate(row))
+    known.update(zip(pairs, wasserstein_pows(moved, [grid[k][0] for k in pairs], 1)))
+    return d_0, {k: known[k] for k in kept}
 
 
 def _to_origin(y: Point2, mu: DiscreteMeasure) -> DiscreteMeasure:
@@ -176,7 +214,11 @@ def check_diag_support_char(mu: DiscreteMeasure, nu_samples) -> CheckReport:
     Converse: with x, x' in the support not co-diagonal and y their
     midpoint, no candidate eta except the Dirac at y aligns
     d(mu,eta) = d(mu,delta_y) + d(delta_y,eta); the Dirac itself breaks
-    the chain, which forces the characterization to fail.
+    the chain, which forces the characterization to fail.  Every
+    candidate is decided from the row of lattice Diracs (see
+    `_aligned_row`): mu - y has atoms at a and -a off every diagonal,
+    and dm(a, z) and dm(-a, z) reach |a| + |z| together only at z = 0,
+    so only delta_y is tight and no two-atom candidate needs a solve.
     """
     report = CheckReport("diag-support-characterization")
     nus = list(nu_samples)
@@ -199,10 +241,11 @@ def check_diag_support_char(mu: DiscreteMeasure, nu_samples) -> CheckReport:
     y = _midpoint(*_non_codiag_pair(mu.points(), mu.points()))
     moved = _to_origin(y, mu)
     template = _eta_template(1, 1)
-    d_mn, *d_mes = wasserstein_pows(moved, [_ORIGIN_DIRAC, *(eta for eta, _ in template)], 1)
+    d_mn, d_mes = _aligned_row(moved, 1, range(len(template)))
     report.notes.append(_eta_grid_note(1))
-    for (eta, d_ne), d_me in zip(template, d_mes):
-        report.count()
+    report.instances += len(template)
+    for k, d_me in d_mes.items():
+        eta, d_ne = template[k]
         aligned = d_me == d_mn + d_ne
         chain = d_mn == d_ne and d_me == 2 * d_mn
         if chain:
@@ -219,7 +262,15 @@ def check_diag_support_char(mu: DiscreteMeasure, nu_samples) -> CheckReport:
 
 def check_same_diag_char(mu1, mu2, nu_samples) -> CheckReport:
     """Two diagonal measures share their line <=> the unit shift of any
-    nu aligns with both of them at once."""
+    nu aligns with both of them at once.
+
+    Converse: with y the midpoint of a non-co-diagonal pair across the
+    supports, no candidate eta at distance 1 from delta_y aligns with
+    both measures through delta_y.  The first measure decides every
+    such candidate from its row of lattice Diracs (see `_aligned_row`),
+    solving only those whose atoms are all tight for it; the second
+    decides the candidates aligned with the first the same way.
+    """
     report = CheckReport("same-diagonal-characterization")
     if mu1.diagonal_line() is None or mu2.diagonal_line() is None:
         raise ConstraintError("both measures must be diagonally supported")
@@ -252,13 +303,13 @@ def check_same_diag_char(mu1, mu2, nu_samples) -> CheckReport:
     report.notes.append(_eta_grid_note(2))
     template = _eta_template(2, 1)
     report.instances += len(template)
-    units = [eta for eta, d_ne in template if d_ne == 1]
-    d1n, *d1es = wasserstein_pows(moved1, [_ORIGIN_DIRAC, *units], 1)
-    aligned = [eta for eta, d1e in zip(units, d1es) if d1e == d1n + 1]
-    d2n, *d2es = wasserstein_pows(moved2, [_ORIGIN_DIRAC, *aligned], 1)
-    for eta, d2e in zip(aligned, d2es):
+    units = [k for k, (_, d_ne) in enumerate(template) if d_ne == 1]
+    d1n, d1es = _aligned_row(moved1, 2, units)
+    aligned = [k for k, d1e in d1es.items() if d1e == d1n + 1]
+    d2n, d2es = _aligned_row(moved2, 2, aligned)
+    for k, d2e in d2es.items():
         if d2e == d2n + 1:
-            report.fail(kind="converse-alignment", eta=_around(y, eta))
+            report.fail(kind="converse-alignment", eta=_around(y, template[k][0]))
     return report
 
 

@@ -127,7 +127,7 @@ def displacement_interpolation(
     """
     if not (0 <= s <= 1):
         raise ConstraintError(
-            f"interpolation parameter must be in [0, 1], got {for_message(s, repr)}"
+            f"interpolation parameter must be in [0, 1], got {for_message(s)}"
         )
     if not all(same_diagonal(corner, x) for x in mu.points()):
         raise ConstraintError(

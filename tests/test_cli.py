@@ -956,6 +956,7 @@ def test_interp_midpoint():
 def test_interp_bad_time():
     out = run_cli("interp", "--dirac", "2,2", "--s", "2", "--corner", "0,0")
     assert out.returncode == 3
+    assert out.stderr == "error: interpolation parameter must be in [0, 1], got 2\n"
 
 
 def test_symmetric_line(measures):

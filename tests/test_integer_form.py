@@ -236,10 +236,14 @@ class Ratio(Fraction):
     pass
 
 
+class Real(float):
+    pass
+
+
 @pytest.mark.parametrize(
     "value",
     [0, -3, 10**30, F(1, 3), F(4), Count(2), Ratio(1, 2), True, False, 0.5, 1.0,
-     float("nan"), "1/2", None],
+     float("nan"), pytest.param(Real(0.5), id="float-subclass"), "1/2", None],
 )
 def test_is_exact_accepts_ints_and_fractions_but_not_bools(value):
     assert is_exact(value) == reference_is_exact(value)

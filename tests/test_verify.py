@@ -537,16 +537,37 @@ def test_converse_checks_reject_float_measures(check):
         check()
 
 
+def _tight_points(moved, span):
+    """The lattice points z of the span's template with d(moved, delta_z)
+    = d(moved, delta_0) + |z|, each found by an exact solve."""
+    d_0 = wasserstein_pow(moved, verify._ORIGIN_DIRAC, 1)
+    side = (2 * span + 1) ** 2
+    return {
+        delta.points()[0]
+        for delta, r in _eta_template(span, 1)[:side]
+        if wasserstein_pow(moved, delta, 1) == d_0 + r
+    }
+
+
+def _all_tight(eta, tight):
+    return eta.support_size > 1 and set(eta.points()) <= tight
+
+
 def test_diag_char_converse_solves_once_per_candidate(monkeypatch):
     """With the span-1 template warm, a diag-char converse call solves
-    d(mu, delta_y) once and d(mu, eta) once per candidate; every
-    d(delta_y, eta) comes from the template.  It moves mu into the
-    template's frame and builds no candidate around y: at most two
-    measures."""
+    mu against the 9 lattice Diracs and once more per two-atom candidate
+    whose atoms are both tight; every d(delta_y, eta) comes from the
+    template.  The non-co-diagonal pair sits at a and -a around y, so
+    only the origin is tight and no two-atom candidate is solved.  It
+    moves mu into the template's frame and builds no candidate around y:
+    at most two measures."""
     off = DiscreteMeasure(
         [(Point2(F(0), F(0)), F(1, 2)), (Point2(F(2), F(1)), F(1, 2))]
     )
     assert check_diag_support_char(off, []).passed
+    moved = push_forward(lambda x: x - Point2(F(1), F(1, 2)), off)
+    tight = _tight_points(moved, 1)
+    kept = [eta for eta, _ in _eta_template(1, 1) if _all_tight(eta, tight)]
     calls, built = [], []
     solve, init = transport._certified_solve, DiscreteMeasure.__init__
 
@@ -562,20 +583,28 @@ def test_diag_char_converse_solves_once_per_candidate(monkeypatch):
     monkeypatch.setattr(DiscreteMeasure, "__init__", counting_init)
     report = check_diag_support_char(off, [])
     assert report.passed and report.instances == 117
-    assert len(calls) == 1 + 117
+    assert tight == {Point2(F(0), F(0))} and kept == []
+    assert len(calls) == 9 + len(kept)
     assert len(built) <= 2
 
 
 def test_same_diag_converse_solves_two_rows(monkeypatch):
-    """With the span-2 template warm, the same-diag converse solves the
-    first moved measure against every candidate at distance 1 from
-    delta_0 in one `wasserstein_pows` row, and the second against the
-    candidates aligned with the first in another; each candidate counts
-    once."""
+    """With the span-2 template warm, the same-diag converse solves each
+    moved measure against the 25 lattice Diracs in one `wasserstein_pows`
+    row, then in another against the candidates still open whose atoms
+    are all tight for it: for the first measure every two-atom candidate
+    at distance 1 from delta_0, for the second those aligned with the
+    first.  Each candidate counts once."""
     mu1 = DiscreteMeasure.dirac(Point2(F(0), F(0)))
     mu2 = DiscreteMeasure([(Point2(F(0), F(2)), F(1, 2)), (Point2(F(1), F(3)), F(1, 2))])
+    y = Point2(F(0), F(1))  # the midpoint of (0, 0) and (0, 2)
+    moved1, moved2 = (push_forward(lambda x: x - y, m) for m in (mu1, mu2))
     template = _eta_template(2, 1)
+    lattice = [eta for eta, _ in template[:25]]
     units = [eta for eta, power in template if power == 1]
+    d1n = wasserstein_pow(moved1, verify._ORIGIN_DIRAC, 1)
+    aligned = [eta for eta in units if wasserstein_pow(moved1, eta, 1) == d1n + 1]
+    tight1, tight2 = _tight_points(moved1, 2), _tight_points(moved2, 2)
     rows = []
     batch = verify.wasserstein_pows
 
@@ -586,10 +615,11 @@ def test_same_diag_converse_solves_two_rows(monkeypatch):
     monkeypatch.setattr(verify, "wasserstein_pows", recording)
     report = check_same_diag_char(mu1, mu2, [])
     assert report.passed and report.instances == len(template)
-    assert len(rows) == 2
-    assert rows[0] == [verify._ORIGIN_DIRAC, *units]
-    assert rows[1][0] == verify._ORIGIN_DIRAC
-    assert all(eta in units for eta in rows[1][1:])
+    assert rows == [
+        lattice, [eta for eta in units if _all_tight(eta, tight1)],
+        lattice, [eta for eta in aligned if _all_tight(eta, tight2)],
+    ]
+    assert rows[1]
 
 
 def test_converse_failure_names_its_candidate_around_y(monkeypatch):
@@ -601,12 +631,66 @@ def test_converse_failure_names_its_candidate_around_y(monkeypatch):
     y = Point2(F(1), F(1, 2))  # the midpoint of the two atoms
     moved = push_forward(lambda x: x - y, off)
     eta = DiscreteMeasure.dirac(Point2(F(1, 2), F(0)))
-    # a template power that aligns eta through delta_y, as no true one does
-    wrong = wasserstein_pow(moved, eta, 1) - wasserstein_pow(moved, verify._ORIGIN_DIRAC, 1)
-    monkeypatch.setattr(verify, "_eta_template", lambda span, p: ((eta, wrong),))
+    # a Dirac row entry that aligns eta through delta_y, as no true one does
+    d_0 = wasserstein_pow(moved, verify._ORIGIN_DIRAC, 1)
+    assert wasserstein_pow(moved, eta, 1) != d_0 + F(1, 2)
+    batch = verify.wasserstein_pows
+
+    def planted(mu, nus, p):
+        return [d_0 + F(1, 2) if nu == eta else d for nu, d in zip(nus, batch(mu, nus, p))]
+
+    monkeypatch.setattr(verify, "wasserstein_pows", planted)
     report = check_diag_support_char(off, [])
+    assert report.instances == 117
     assert [f["kind"] for f in report.failures] == ["converse-alignment"]
     assert report.failures[0]["eta"] == ((Point2(F(3, 2), F(1, 2)), F(1)),)
+
+
+def full_converse_row(moved, span):
+    """The converse row as it was solved before tight atoms decided it:
+    d_1(moved, delta_0), then d_1(moved, eta) for every candidate of the
+    span's template, each an exact solve."""
+    etas = [eta for eta, _ in _eta_template(span, 1)]
+    d_0, *row = transport.wasserstein_pows(moved, [verify._ORIGIN_DIRAC, *etas], 1)
+    return d_0, row
+
+
+@st.composite
+def _nondiagonal_measures(draw):
+    """Exact measures on no diagonal line, drawn as
+    `_rand_nondiagonal_measure` draws them: 2-4 distinct points on the
+    1/8 grid of [-3, 3]^2, weights k / total with k in 1..12."""
+    points = draw(
+        st.lists(st.builds(Point2, _EIGHTHS, _EIGHTHS), min_size=2, max_size=4, unique=True)
+        .filter(lambda pts: diagonal_line_through(pts) is None)
+    )
+    parts = draw(st.lists(st.integers(1, 12), min_size=len(points), max_size=len(points)))
+    return DiscreteMeasure([(x, F(k, sum(parts))) for x, k in zip(points, parts)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_nondiagonal_measures(), st.sampled_from((1, 2)), st.booleans())
+def test_tight_atoms_decide_the_converse_row(mu, span, centred):
+    """Against the full row: every candidate whose atoms are all tight
+    keeps its exact solve, and every other candidate, left out, has a
+    full solve strictly below d(mu, delta_0) + d(delta_0, eta), so it
+    can neither align nor close a chain.  The measure sits as drawn or,
+    as in the converse checks, moved to the midpoint of its first
+    non-co-diagonal pair."""
+    if centred:
+        y = verify._midpoint(*_non_codiag_pair(mu.points(), mu.points()))
+        mu = push_forward(lambda x: x - y, mu)
+    template = _eta_template(span, 1)
+    d_0, full = full_converse_row(mu, span)
+    tight = _tight_points(mu, span)
+    got_0, kept = verify._aligned_row(mu, span, range(len(template)))
+    assert got_0 == d_0
+    assert list(kept) == sorted(kept)
+    for k, ((eta, d_ne), want) in enumerate(zip(template, full)):
+        if set(eta.points()) <= tight:
+            assert kept[k] == want
+        else:
+            assert k not in kept and want < d_0 + d_ne
 
 
 def test_dirac_char_converse_solves_the_reflection_of_mu(monkeypatch):
