@@ -17,9 +17,8 @@ keys and checks their integer weights against that denominator.  At
 the first inexact scalar the walk stops and the atoms take the float
 merge; if all that merge keeps is exact, as when a float point merged
 into an exact one, it gets its form all the same.
-`transport._instance_builder` builds every exact transport problem
-from two such forms by rescaling ints alone; for one source against
-many targets it rescales the source once per common scale.
+`transport._integer_instance` builds every exact transport problem
+from two such forms by rescaling ints alone.
 """
 
 from __future__ import annotations

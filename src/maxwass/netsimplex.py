@@ -1,7 +1,7 @@
 """Dense transportation network simplex, generic over the scalar type.
 
 Exact problems reach it as Python ints, which
-`transport._instance_builder` rescales from the integer forms the
+`transport._integer_instance` rescales from the integer forms the
 measures carry since they were built (tol=0, every comparison exact);
 its flows stay ints until a caller that keeps the plan divides them by
 the weight scale.  Other problems run on floats, and the tolerance on

@@ -15,12 +15,12 @@ Two independent routes compute it:
 
 Exact problems reach both routes through `_integer_instance`, which
 rescales the two measures' integer forms (`measure.IntegerForm`) to
-common coordinate and weight scales with `_instance_builder`; each
-route divides by the scales once at the end.  Only that input is
-shared, never the search, so agreement between the two is a real check
-and is enforced wholesale by the acceptance suite.  `wasserstein_pows`
-solves one measure against many with one builder, which fixes that
-measure as the columns and builds each target point's cost row once.
+common coordinate and weight scales and builds fresh lists on every
+call; each route divides by the scales once at the end.  Only that
+input is shared, never the search, so agreement between the two is a
+real check and is enforced wholesale by the acceptance suite.
+`wasserstein_pows` solves one measure against many as one certified
+solve per pair, each on its own instance.
 Measures fix their exactness when they are built.  Solves, the oracle
 and the probe decide theirs once, through `_exact_exponent`, which also
 refuses a p that is not finite and >= 1; a plan takes its solve's verdict.
@@ -112,23 +112,6 @@ def _cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, fp: float):
     ]
 
 
-def _coords_at(form, scale: int):
-    """The form's coordinates at `scale`, a multiple of its own: the
-    form's tuple itself when the scales agree, else a new list."""
-    if scale == form.coord_scale:
-        return form.coords
-    k = scale // form.coord_scale
-    return [(x1 * k, x2 * k) for x1, x2 in form.coords]
-
-
-def _weights_at(form, scale: int) -> list:
-    """The form's weights at `scale`, a multiple of its own, as a new list."""
-    if scale == form.weight_scale:
-        return list(form.weights)
-    k = scale // form.weight_scale
-    return [w * k for w in form.weights]
-
-
 def _require_cost_bits(q: int, top: int):
     """A ConstraintError, before any power is taken, when top^q would
     exceed _MAX_COST_BITS bits; top is the largest of a cost's dm values
@@ -140,64 +123,35 @@ def _require_cost_bits(q: int, top: int):
         )
 
 
-def _instance_builder(nu: DiscreteMeasure, q: int):
-    """build(mu) -> the exact problem of (mu, nu) at integer scale, nu
-    fixed as the columns: (cost, supply, demand, L^q, W).
+def _integer_instance(mu: DiscreteMeasure, nu: DiscreteMeasure, q: int):
+    """The exact problem of (mu, nu) at integer scale: (cost, supply,
+    demand, L^q, W).
 
     Coordinates are rescaled to L = lcm(L_mu, L_nu) and weights to
     W = lcm(W_mu, W_nu), the least scales that make both measures
     whole; dm is 1-homogeneous, so the costs dm^q scale by L^q, and a
     total cost divides by W * L^q and a flow by W.  Positive scaling
     keeps the sign of every comparison, so the optimal vertices are
-    those of the rational instance.  nu is rescaled once per common
-    scale, and each row point's cost row is built once per coordinate
-    scale: the rows a call adds are checked before any is powered, so
-    it raises a ConstraintError where dm^q or L^q would exceed
-    _MAX_COST_BITS bits.  Each call's cost and supply are new lists;
-    the cost rows and demand are shared by the builder's calls, which
-    only read them.
+    those of the rational instance.  The dm values are checked before
+    any is powered, so it raises a ConstraintError where dm^q or L^q
+    would exceed _MAX_COST_BITS bits.  Every list is new on each call,
+    cost rows included: a caller may edit them, and the certificate
+    compares margins with supply and demand as lists.
     """
-    b = nu.integer
-    # coordinate scale -> (nu's coordinates, {row point: cost row})
-    rows_at = {}
-    demand_at = {}  # weight scale -> nu's weights
-
-    def build(mu: DiscreteMeasure):
-        a = mu.integer
-        coord_scale = math.lcm(a.coord_scale, b.coord_scale)
-        weight_scale = math.lcm(a.weight_scale, b.weight_scale)
-        if coord_scale not in rows_at:
-            rows_at[coord_scale] = _coords_at(b, coord_scale), {}
-        ys, rows = rows_at[coord_scale]
-        if weight_scale not in demand_at:
-            demand_at[weight_scale] = _weights_at(b, weight_scale)
-        xs = _coords_at(a, coord_scale)
-        new = [
-            (x, [max(abs(x[0] - y1), abs(x[1] - y2)) for y1, y2 in ys])
-            for x in xs
-            if x not in rows
-        ]
-        if new:
-            _require_cost_bits(q, max(coord_scale, *(max(row) for _, row in new)))
-            for x, row in new:
-                rows[x] = row if q == 1 else [d**q for d in row]
-        return (
-            [rows[x] for x in xs],
-            _weights_at(a, weight_scale),
-            demand_at[weight_scale],
-            coord_scale**q,
-            weight_scale,
-        )
-
-    return build
-
-
-def _integer_instance(mu: DiscreteMeasure, nu: DiscreteMeasure, q: int):
-    """The exact problem of (mu, nu), from a builder of its own, so that
-    every list, cost rows included, is new on each call: a caller may
-    edit them, and the certificate compares margins with supply and
-    demand as lists."""
-    return _instance_builder(nu, q)(mu)
+    a, b = mu.integer, nu.integer
+    coord_scale = math.lcm(a.coord_scale, b.coord_scale)
+    ka, kb = coord_scale // a.coord_scale, coord_scale // b.coord_scale
+    xs = [(x1 * ka, x2 * ka) for x1, x2 in a.coords]
+    ys = [(y1 * kb, y2 * kb) for y1, y2 in b.coords]
+    cost = [[max(abs(x1 - y1), abs(x2 - y2)) for y1, y2 in ys] for x1, x2 in xs]
+    _require_cost_bits(q, max(coord_scale, max(map(max, cost))))
+    if q != 1:
+        cost = [[d**q for d in row] for row in cost]
+    weight_scale = math.lcm(a.weight_scale, b.weight_scale)
+    ka, kb = weight_scale // a.weight_scale, weight_scale // b.weight_scale
+    supply = [w * ka for w in a.weights]
+    demand = [w * kb for w in b.weights]
+    return cost, supply, demand, coord_scale**q, weight_scale
 
 
 @dataclass(frozen=True)
@@ -405,12 +359,14 @@ def _certified_solve(cost, supply, demand):
 
 
 class _Solution(NamedTuple):
-    """One optimal vertex at the scale the simplex ran on.
+    """One optimal vertex at the scale of the instance its route solved.
 
-    An exact solve holds ints: a flow f carries mass f / weight_scale
-    and a cost c is dm^p = c / cost_scale.  A float solve holds the
-    weights and the costs themselves, and both scales are None.  The
-    power is the solver's own total, exact or float.
+    An exact solve holds the ints of its `_integer_instance`, whichever
+    of the product, two-line or simplex routes found the vertex: a flow
+    f carries mass f / weight_scale and a cost c is dm^p = c /
+    cost_scale, and the power is the route's total over both scales.  A
+    float solve holds the weights and the costs themselves, both scales
+    are None, and the power is the route's float total.
     """
 
     power: Scalar
@@ -437,28 +393,23 @@ class _Solution(NamedTuple):
         return Fraction(self.cost[i][j], self.cost_scale)
 
 
-def _exact_solution(instance) -> _Solution:
-    """The certified vertex of a built exact instance.  Only its total is
-    divided by the scales: the flows stay ints for a plan to keep."""
-    cost, supply, demand, cost_scale, weight_scale = instance
-    total, flows, _, _ = _certified_solve(cost, supply, demand)
-    power = Fraction(total, weight_scale * cost_scale)
-    return _Solution(power, flows, cost, weight_scale, cost_scale)
-
-
 def _solve(mu: DiscreteMeasure, nu: DiscreteMeasure, p) -> _Solution:
     """The one solve path: the optimal cost power and one optimal vertex.
 
     The power is exact when `_exact_exponent` finds the problem exact,
     a float otherwise.  Exact problems, Diracs included, take
-    `_exact_solution` on their `_integer_instance`.
+    `_certified_solve` on their `_integer_instance`, and only the total
+    is divided by the scales: the flows stay ints for a plan to keep.
     Float problems take `_product_solution` on the float weights where a
     side is one atom and the simplex otherwise, and either answer must
     meet every margin within _FLOAT_MARGIN_TOL.
     """
     q = _exact_exponent(p, mu, nu)
     if q is not None:
-        return _exact_solution(_integer_instance(mu, nu, q))
+        cost, supply, demand, cost_scale, weight_scale = _integer_instance(mu, nu, q)
+        total, flows, _, _ = _certified_solve(cost, supply, demand)
+        power = Fraction(total, weight_scale * cost_scale)
+        return _Solution(power, flows, cost, weight_scale, cost_scale)
 
     try:
         fp = float(p)
@@ -506,29 +457,10 @@ def wasserstein_pow(mu: DiscreteMeasure, nu: DiscreteMeasure, p=2) -> Scalar:
 
 
 def wasserstein_pows(mu: DiscreteMeasure, nus, p=2) -> list:
-    """[wasserstein_pow(mu, nu, p) for nu in nus], exceptions included,
-    with every exact problem built by one `_instance_builder`.
-
-    W_p is symmetric and a certified optimum is one exact number, so
-    each exact pair is solved as (nu, mu), with mu fixed as the columns:
-    mu is rescaled once per common scale, and each distinct target
-    point's cost row is built and checked against _MAX_COST_BITS once
-    per coordinate scale, so a target raises where its pair would.  The
-    instance of each target is `_integer_instance(nu, mu, p)`, and its
-    power comes from `_exact_solution`, certificate and all.  Any other
-    problem takes `_solve`.
-    """
-    nus = list(nus)
-    if not nus:
-        return []
-    q = _exact_exponent(p, mu)
-    if q is None:
-        return [_solve(mu, nu, p).power for nu in nus]
-    build = _instance_builder(mu, q)
-    return [
-        _exact_solution(build(nu)).power if nu.exact else _solve(mu, nu, p).power
-        for nu in nus
-    ]
+    """[wasserstein_pow(mu, nu, p) for nu in nus], exceptions included:
+    one `_solve` per pair, so an exact pair is one certified solve on
+    its own `_integer_instance`."""
+    return [_solve(mu, nu, p).power for nu in nus]
 
 
 # ---------------------------------------------------------------------------

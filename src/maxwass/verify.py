@@ -22,9 +22,8 @@ so it neither aligns with m through delta_0 nor closes a chain:
 
 Where a checker solves one measure against many, as the template
 solves delta_0 and the converses each moved measure, it asks
-`transport.wasserstein_pows` for the whole row, which rescales that
-measure once per common scale and builds each candidate point's cost
-row once, not once per candidate.
+`transport.wasserstein_pows` for the whole row, one certified solve
+per pair.
 A checker that compares W_p powers exactly refuses a float problem up
 front through `_exact_p`, transport's one decision: dirac-char,
 unique-geodesic, opposite-sides and q-functional (on mu) at their p,

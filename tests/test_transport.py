@@ -1176,8 +1176,9 @@ def one_source_batch(draw):
 @given(batch=one_source_batch(), p=st.sampled_from((1, 2, 3)))
 def test_batch_powers_are_the_per_pair_powers(batch, p):
     """wasserstein_pows hands `_certified_solve` the instance
-    `_integer_instance` builds for each pair solved as (nu, mu), at the
-    pair's own scales, and returns the per-pair powers."""
+    `_integer_instance` builds for each pair (mu, nu), at the pair's own
+    scales, shares no list between two targets' instances, cost rows
+    included, and returns the per-pair powers."""
     mu, nus = batch
     handed = []
     solve = transport._certified_solve
@@ -1188,7 +1189,9 @@ def test_batch_powers_are_the_per_pair_powers(batch, p):
 
     with mock.patch.object(transport, "_certified_solve", recording):
         powers = wasserstein_pows(mu, nus, p)
-    assert handed == [_integer_instance(nu, mu, p)[:3] for nu in nus]
+    assert handed == [_integer_instance(mu, nu, p)[:3] for nu in nus]
+    lists = [id(x) for cost, supply, demand in handed for x in (cost, supply, demand, *cost)]
+    assert len(set(lists)) == len(lists)
     assert powers == [wasserstein_pow(mu, nu, p) for nu in nus]
     assert all(type(power) is F for power in powers)
 
