@@ -36,7 +36,6 @@ from .transport import (
     is_unique_optimal_plan,
     wasserstein,
     wasserstein_pow,
-    wasserstein_pows,
 )
 from .wgeom import (
     PerturbationTriple,

@@ -9,6 +9,7 @@ operations where the two modes need different handling.
 from __future__ import annotations
 
 import math
+import sys
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import Union
@@ -37,11 +38,11 @@ class ParseError(ValueError):
     """Malformed input data or configuration (CLI exit code 2)."""
 
 
-def for_message(v, form=str) -> str:
-    """form(v), the text of v in an error message, or a fixed phrase when
+def for_message(v) -> str:
+    """str(v), the text of v in an error message, or a fixed phrase when
     v holds an int of more digits than Python converts to text."""
     try:
-        return form(v)
+        return str(v)
     except ValueError:
         return "a number of more digits than Python prints"
 
@@ -182,10 +183,17 @@ def root_p(v: Scalar, p) -> Scalar:
         # far below 1e292) roots to 1.0; 0.0 ** 0.0 would be 1.0 as well
         return 1.0 if v else 0.0
     try:
-        return float(v) ** inverse
+        f = float(v)
     except OverflowError:
-        # an exact v beyond the float range whose root may still fit one
-        v = Fraction(v)
-        return math.exp(
-            (math.log(v.numerator) - math.log(v.denominator)) / float(p)
-        )
+        f = math.inf
+    if not is_exact(v) or not v or sys.float_info.min <= f < math.inf:
+        return f ** inverse
+    # exact v overflows a float or falls below its normal range, where float(v)
+    # rounds or underflows to 0.0: write v = m 2^e with m in (1/2, 2)
+    # and e = k p + r, so v^(1/p) = m^(1/p) 2^(r/p) 2^k; ldexp raises
+    # OverflowError when the root itself lies beyond the float range
+    n, d = Fraction(v).as_integer_ratio()
+    e = n.bit_length() - d.bit_length()
+    m = n / (d << e) if e >= 0 else (n << -e) / d
+    k, r = divmod(e, p)
+    return math.ldexp(m**inverse * 2.0 ** (r * inverse), int(k))

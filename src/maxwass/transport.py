@@ -19,8 +19,6 @@ common coordinate and weight scales and builds fresh lists on every
 call; each route divides by the scales once at the end.  Only that
 input is shared, never the search, so agreement between the two is a
 real check and is enforced wholesale by the acceptance suite.
-`wasserstein_pows` solves one measure against many as one certified
-solve per pair, each on its own instance.
 Measures fix their exactness when they are built.  Solves, the oracle
 and the probe decide theirs once, through `_exact_exponent`, which also
 refuses a p that is not finite and >= 1; a plan takes its solve's verdict.
@@ -454,13 +452,6 @@ def wasserstein_pow(mu: DiscreteMeasure, nu: DiscreteMeasure, p=2) -> Scalar:
     """The p-th power of d_{W_p}, without building a plan; exact on exact
     inputs with integer p."""
     return _solve(mu, nu, p).power
-
-
-def wasserstein_pows(mu: DiscreteMeasure, nus, p=2) -> list:
-    """[wasserstein_pow(mu, nu, p) for nu in nus], exceptions included:
-    one `_solve` per pair, so an exact pair is one certified solve on
-    its own `_integer_instance`."""
-    return [_solve(mu, nu, p).power for nu in nus]
 
 
 # ---------------------------------------------------------------------------

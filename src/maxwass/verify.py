@@ -20,10 +20,6 @@ so it neither aligns with m through delta_0 nor closes a chain:
               <  sum_z w_z (d(m, delta_0) + |z|)   (one atom not tight)
               =  d(m, delta_0) + d(delta_0, eta).
 
-Where a checker solves one measure against many, as the template
-solves delta_0 and the converses each moved measure, it asks
-`transport.wasserstein_pows` for the whole row, one certified solve
-per pair.
 A checker that compares W_p powers exactly refuses a float problem up
 front through `_exact_p`, transport's one decision: dirac-char,
 unique-geodesic, opposite-sides and q-functional (on mu) at their p,
@@ -58,7 +54,7 @@ from .measure import (
     push_forward,
 )
 from .scalars import ConstraintError, ParseError, halve
-from .transport import _exact_exponent, brute_force_wasserstein, wasserstein_pow, wasserstein_pows
+from .transport import _exact_exponent, brute_force_wasserstein, wasserstein_pow
 from .wgeom import _slide, symmetric_wp
 
 
@@ -135,27 +131,24 @@ def _eta_template(span: int, p) -> tuple:
     d(mu - y, eta), so a sweep around y moves the measures it checks by
     -y once and solves them against these candidates; a process solves
     each (span, p) grid once, at its first converse sweep."""
-    etas = [eta for eta, _ in _eta_grid(span)]
-    return tuple(zip(etas, wasserstein_pows(_ORIGIN_DIRAC, etas, p)))
+    return tuple((eta, wasserstein_pow(_ORIGIN_DIRAC, eta, p)) for eta, _ in _eta_grid(span))
 
 
 def _aligned_row(moved: DiscreteMeasure, span: int, picks) -> tuple:
     """d_1(moved, delta_0), and d_1(moved, eta) by index, in the order of
     picks, for each picked template candidate whose atoms are all tight.
     Every other candidate cannot align with moved through delta_0 (see
-    the module docstring) and is left out.  moved is solved against the
-    lattice Diracs in one row and against the kept two-atom candidates
-    in another."""
+    the module docstring) and is left out.  moved is solved against each
+    lattice Dirac, then against each kept two-atom candidate."""
     grid = _eta_grid(span)
-    row = wasserstein_pows(moved, [delta for delta, _ in grid[:(2 * span + 1) ** 2]], 1)
+    row = [wasserstein_pow(moved, delta, 1) for delta, _ in grid[:(2 * span + 1) ** 2]]
     d_0 = row[len(row) // 2]  # the origin is the lattice's middle point
     # the template's lattice Diracs carry |z| = d(delta_0, delta_z)
     tight = [d == d_0 + r for d, (_, r) in zip(row, _eta_template(span, 1))]
     kept = [k for k in picks if all(tight[z] for z in grid[k][1])]
-    pairs = [k for k in kept if k >= len(row)]
-    known = dict(enumerate(row))
-    known.update(zip(pairs, wasserstein_pows(moved, [grid[k][0] for k in pairs], 1)))
-    return d_0, {k: known[k] for k in kept}
+    return d_0, {
+        k: row[k] if k < len(row) else wasserstein_pow(moved, grid[k][0], 1) for k in kept
+    }
 
 
 def _to_origin(y: Point2, mu: DiscreteMeasure) -> DiscreteMeasure:
@@ -214,7 +207,7 @@ def check_diag_support_char(mu: DiscreteMeasure, nu_samples) -> CheckReport:
     midpoint, no candidate eta except the Dirac at y aligns
     d(mu,eta) = d(mu,delta_y) + d(delta_y,eta); the Dirac itself breaks
     the chain, which forces the characterization to fail.  Every
-    candidate is decided from the row of lattice Diracs (see
+    candidate is decided from its distances to the lattice Diracs (see
     `_aligned_row`): mu - y has atoms at a and -a off every diagonal,
     and dm(a, z) and dm(-a, z) reach |a| + |z| together only at z = 0,
     so only delta_y is tight and no two-atom candidate needs a solve.
@@ -224,9 +217,10 @@ def check_diag_support_char(mu: DiscreteMeasure, nu_samples) -> CheckReport:
     _exact_p("diagonal-support characterization", 1, mu, *nus)
     line = mu.diagonal_line()
     if line is not None:
-        d_mns = wasserstein_pows(mu, nus, 1)
+        d_mns = [wasserstein_pow(mu, nu, 1) for nu in nus]
         etas = [_slide(line, nu, d_mn) for nu, d_mn in zip(nus, d_mns)]
-        for nu, eta, d_mn, d_me in zip(nus, etas, d_mns, wasserstein_pows(mu, etas, 1)):
+        d_mes = [wasserstein_pow(mu, eta, 1) for eta in etas]
+        for nu, eta, d_mn, d_me in zip(nus, etas, d_mns, d_mes):
             report.count()
             d_ne = wasserstein_pow(nu, eta, 1)
             if not (d_mn == d_ne and d_me == 2 * d_mn):
@@ -266,9 +260,10 @@ def check_same_diag_char(mu1, mu2, nu_samples) -> CheckReport:
     Converse: with y the midpoint of a non-co-diagonal pair across the
     supports, no candidate eta at distance 1 from delta_y aligns with
     both measures through delta_y.  The first measure decides every
-    such candidate from its row of lattice Diracs (see `_aligned_row`),
-    solving only those whose atoms are all tight for it; the second
-    decides the candidates aligned with the first the same way.
+    such candidate from its distances to the lattice Diracs (see
+    `_aligned_row`), solving only those whose atoms are all tight for
+    it; the second decides the candidates aligned with the first the
+    same way.
     """
     report = CheckReport("same-diagonal-characterization")
     if mu1.diagonal_line() is None or mu2.diagonal_line() is None:
@@ -289,7 +284,7 @@ def check_same_diag_char(mu1, mu2, nu_samples) -> CheckReport:
             d_ne = wasserstein_pow(nu, eta, 1)
             ok = d_ne == 1
             for m in (mu1, mu2):
-                d_mn, d_me = wasserstein_pows(m, [nu, eta], 1)
+                d_mn, d_me = wasserstein_pow(m, nu, 1), wasserstein_pow(m, eta, 1)
                 ok = ok and d_me == d_mn + d_ne
             if not ok:
                 report.fail(kind="forward-chain", nu=nu.atoms)
@@ -630,8 +625,9 @@ def check_q_functional(mu: DiscreteMeasure, p=2, nu_samples=()) -> CheckReport:
     mu_u = push_forward(_p_up, mu)
     # dm is symmetric, so d^p(nu, mu_u) is solved as d^p(mu_u, nu)
     nus = list(nu_samples)
-    to_u, *from_r = wasserstein_pows(mu_r, [mu_u, mu, *nus], p)
-    from_u = wasserstein_pows(mu_u, [mu, *nus], p)
+    to_u = wasserstein_pow(mu_r, mu_u, p)
+    from_r = [wasserstein_pow(mu_r, nu, p) for nu in (mu, *nus)]
+    from_u = [wasserstein_pow(mu_u, nu, p) for nu in (mu, *nus)]
     bound = Fraction(to_u, 2 ** (p - 1))
 
     report.count()

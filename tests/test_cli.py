@@ -192,12 +192,43 @@ def test_dist_exponent_beyond_float_range(fmt, x, distance, capsys):
         assert out == f"{distance!r}\n"
 
 
+@pytest.mark.parametrize(
+    "x, fmt, text",
+    [
+        ("1e-200", "table", "1e-200"),
+        ("1e-200", "json", "1e-200"),
+        ("1e200", "table", "1e+200"),
+        ("1e200", "json", "1e+200"),
+    ],
+    ids=["tiny-table", "tiny-json", "huge-table", "huge-json"],
+)
+def test_dist_roots_a_power_outside_the_float_range(x, fmt, text, capsys):
+    """The power 10^-400 underflows float() to 0.0 and 10^400 overflows
+    it, yet each distance is a float: it is rooted from the power's exact
+    mantissa and exponent."""
+    argv = ["dist", "--dirac", "0,0", "--dirac", f"{x},0", "--p", "2", "--format", fmt]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    if fmt == "json":
+        assert repr(json.loads(out)["distance"]) == text
+    else:
+        assert out == f"{text}\n"
+
+
+def test_dist_exact_cost_beyond_the_cost_bits(capsys):
+    argv = ["dist", "--dirac", "0,0", "--dirac", "2,1", "--p", "100000", "--exact"]
+    assert cli.main(argv) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: an exact cost dm^p would exceed 65536 bits; use a smaller p\n"
+
+
 def test_dist_huge_exact_power_prints_its_float_distance():
     out = run_cli(
         "dist", "--dirac", "0,0", "--dirac", "100,0", "--p", "3000", timeout=20
     )
     assert out.returncode == 0
-    assert float(out.stdout) == pytest.approx(100, rel=1e-12)
+    assert out.stdout == "100.0\n"
 
 
 @pytest.mark.parametrize("p", ["1", "2"])

@@ -3,7 +3,6 @@
 import io
 import random
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,7 +13,7 @@ from maxwass import transport
 from maxwass.geometry import Point2, dm
 from maxwass.measure import DiscreteMeasure
 from maxwass.netsimplex import solve_transportation
-from maxwass.scalars import ConstraintError, is_integer_exponent
+from maxwass.scalars import ConstraintError, is_integer_exponent, root_p
 from maxwass.transport import (
     TransportPlan,
     _integer_instance,
@@ -23,7 +22,6 @@ from maxwass.transport import (
     is_unique_optimal_plan,
     wasserstein,
     wasserstein_pow,
-    wasserstein_pows,
 )
 
 F = Fraction
@@ -358,13 +356,11 @@ def test_nan_exponent_rejected():
         for call in (
             lambda: wasserstein_pow(mu, nu, p),
             lambda: wasserstein(mu, nu, p),
-            lambda: wasserstein_pows(mu, [nu], p),
             lambda: brute_force_wasserstein(mu, nu, p),
             lambda: is_unique_optimal_plan(mu, nu, p),
         ):
             with pytest.raises(ConstraintError, match="exponent p must be >= 1"):
                 call()
-        assert wasserstein_pows(mu, [], p) == []
 
 
 def test_raw_transportation_solver_exact():
@@ -873,8 +869,6 @@ def test_certificate_checks_the_one_atom_routes_potentials(monkeypatch, dirac_fi
 
     monkeypatch.setattr(transport, "_product_solution", shifted)
     assert_every_solve_raises(mu, nu, "certificate: dual feasibility")
-    with pytest.raises(RuntimeError, match="certificate: dual feasibility"):
-        wasserstein_pows(mu, [nu], 1)
 
 
 @pytest.mark.parametrize("dirac_first", [True, False], ids=["1x2", "2x1"])
@@ -926,8 +920,6 @@ def test_certificate_checks_the_two_line_route(monkeypatch, edit, three_first):
     monkeypatch.setattr(transport, "_two_line_solution", broken)
     clause = "primal" if edit == "flow" else "dual"
     assert_every_solve_raises(mu, nu, f"certificate: {clause} feasibility")
-    with pytest.raises(RuntimeError, match=f"certificate: {clause} feasibility"):
-        wasserstein_pows(mu, [DiscreteMeasure.dirac(Point2(F(0), F(0))), nu], 1)
 
 
 def test_wasserstein_pow_builds_no_plan(monkeypatch):
@@ -1152,79 +1144,58 @@ def test_float_cost_matrix_is_dm_to_the_p(data, kind, fp):
     assert transport._cost_matrix(mu, nu, fp) == expected
 
 
-@st.composite
-def one_source_batch(draw):
-    """An exact source and one to six exact targets.  Coordinates have
-    denominators 1, 2, 3 or 8 and weights are parts of 1 to 12 over
-    their sum, so the common scales of the pairs differ.  Targets of
-    one, two and three or four atoms draw their points from one pool
-    of four to six, so target points repeat across targets."""
-    coord = st.builds(F, st.integers(-12, 12), st.sampled_from((1, 2, 3, 8)))
-    point = st.builds(Point2, coord, coord)
-
-    def weighted(points):
-        parts = draw(st.lists(st.integers(1, 12), min_size=len(points), max_size=len(points)))
-        return DiscreteMeasure([(x, F(r, sum(parts))) for x, r in zip(points, parts)])
-
-    mu = weighted(draw(st.lists(point, min_size=1, max_size=4, unique=True)))
-    pool = draw(st.lists(point, min_size=4, max_size=6, unique=True))
-    sizes = draw(st.lists(st.sampled_from((1, 2, 3, 4)), min_size=1, max_size=6))
-    return mu, [weighted(draw(st.permutations(pool))[:size]) for size in sizes]
-
-
-@settings(max_examples=300, deadline=None)
-@given(batch=one_source_batch(), p=st.sampled_from((1, 2, 3)))
-def test_batch_powers_are_the_per_pair_powers(batch, p):
-    """wasserstein_pows hands `_certified_solve` the instance
-    `_integer_instance` builds for each pair (mu, nu), at the pair's own
-    scales, shares no list between two targets' instances, cost rows
-    included, and returns the per-pair powers."""
-    mu, nus = batch
-    handed = []
-    solve = transport._certified_solve
-
-    def recording(cost, supply, demand):
-        handed.append((cost, supply, demand))
-        return solve(cost, supply, demand)
-
-    with mock.patch.object(transport, "_certified_solve", recording):
-        powers = wasserstein_pows(mu, nus, p)
-    assert handed == [_integer_instance(mu, nu, p)[:3] for nu in nus]
-    lists = [id(x) for cost, supply, demand in handed for x in (cost, supply, demand, *cost)]
-    assert len(set(lists)) == len(lists)
-    assert powers == [wasserstein_pow(mu, nu, p) for nu in nus]
-    assert all(type(power) is F for power in powers)
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    batch=one_source_batch(),
-    data=st.data(),
-    kind=st.sampled_from(("float", "mixed", "float-weight")),
-    p=st.sampled_from((1, 2, 2.5)),
+@pytest.mark.parametrize(
+    "call, at_near",
+    [(wasserstein_pow, 1), (brute_force_wasserstein, (1.0, 1)), (is_unique_optimal_plan, True)],
+    ids=["solve", "oracle", "probe"],
 )
-def test_batch_of_float_problems_is_the_per_pair_list(batch, data, kind, p):
-    """A float source, float targets among exact ones, or a fractional p
-    give the per-pair solve's list."""
-    mu, nus = batch
-    if data.draw(st.booleans()):
-        mu = data.draw(float_cost_measure(kind))
-    nus = [data.draw(float_cost_measure(kind)) if data.draw(st.booleans()) else nu for nu in nus]
-    assert wasserstein_pows(mu, nus, p) == [wasserstein_pow(mu, nu, p) for nu in nus]
-
-
-def test_batch_raises_where_its_pair_exceeds_the_cost_bits():
-    """A target whose dm^p or L^p would pass _MAX_COST_BITS raises the
-    per-pair ConstraintError, after the targets before it are solved."""
+def test_exact_routes_refuse_a_cost_beyond_the_cost_bits(call, at_near):
+    """Every exact route builds its instance through `_integer_instance`,
+    which checks the bits of dm^p and L^p before taking a power: at
+    p = 20000 a dm of 2^20 (far) or a coordinate scale of 2^20 (fine)
+    would pass _MAX_COST_BITS, while a dm and a scale of 1 (near) would
+    not."""
     mu = DiscreteMeasure.dirac(Point2(F(0), F(0)))
     near = DiscreteMeasure.dirac(Point2(F(1), F(0)))
     far = DiscreteMeasure([(Point2(F(1), F(0)), F(1, 2)), (Point2(F(2**20), F(0)), F(1, 2))])
     fine = DiscreteMeasure.dirac(Point2(F(1, 2**20), F(0)))
     p = 20000
-    assert wasserstein_pows(mu, [near, near], p) == [1, 1]
-    for nus in ([near, far], [far, near], [near, fine]):
-        with pytest.raises(ConstraintError) as loop:
-            [wasserstein_pow(mu, nu, p) for nu in nus]
-        with pytest.raises(ConstraintError) as batch:
-            wasserstein_pows(mu, nus, p)
-        assert str(batch.value) == str(loop.value)
+    assert call(mu, near, p) == at_near
+    for nu in (far, fine):
+        with pytest.raises(ConstraintError) as error:
+            call(mu, nu, p)
+        assert str(error.value) == "an exact cost dm^p would exceed 65536 bits; use a smaller p"
+
+
+@pytest.mark.parametrize(
+    "power, p, root",
+    [
+        (F(1, 10**400), 2, 1e-200),
+        (10**400, 2, 1e200),
+        (10**462, 3, 1e154),
+        (100**3000, 3000, 100.0),
+    ],
+    ids=["1e-400", "1e400", "1e462", "100^3000"],
+)
+def test_root_of_a_power_outside_the_float_range(power, p, root):
+    """A power that overflows a float or falls below its normal range is
+    rooted from its exact mantissa and exponent, not from float(power),
+    which rounds 10^-400 to 0.0."""
+    assert root_p(power, p) == root
+
+
+def test_root_of_a_float_power_is_the_float_root():
+    """A float power has no exact mantissa to root from: a subnormal
+    power and an infinite one root as float ** (1/p), and a root beyond
+    the float range of an exact power still overflows."""
+    assert root_p(5e-324, 2) == 5e-324**0.5
+    assert root_p(float("inf"), 2) == float("inf")
+    with pytest.raises(OverflowError):
+        root_p(10**800, 2)
+
+
+def test_distance_of_a_tiny_exact_power():
+    mu = DiscreteMeasure.dirac(Point2(F(0), F(0)))
+    nu = DiscreteMeasure.dirac(Point2(F(1, 10**200), F(0)))
+    assert wasserstein_pow(mu, nu, 2) == F(1, 10**400)
+    assert wasserstein(mu, nu, 2)[0] == 1e-200

@@ -588,13 +588,13 @@ def test_diag_char_converse_solves_once_per_candidate(monkeypatch):
     assert len(built) <= 2
 
 
-def test_same_diag_converse_solves_two_rows(monkeypatch):
+def test_same_diag_converse_solves_lattice_then_tight_pairs(monkeypatch):
     """With the span-2 template warm, the same-diag converse solves each
-    moved measure against the 25 lattice Diracs in one `wasserstein_pows`
-    row, then in another against the candidates still open whose atoms
-    are all tight for it: for the first measure every two-atom candidate
-    at distance 1 from delta_0, for the second those aligned with the
-    first.  Each candidate counts once."""
+    moved measure against the 25 lattice Diracs, then against the
+    candidates still open whose atoms are all tight for it: for the
+    first measure every two-atom candidate at distance 1 from delta_0,
+    for the second those aligned with the first.  Each candidate counts
+    once."""
     mu1 = DiscreteMeasure.dirac(Point2(F(0), F(0)))
     mu2 = DiscreteMeasure([(Point2(F(0), F(2)), F(1, 2)), (Point2(F(1), F(3)), F(1, 2))])
     y = Point2(F(0), F(1))  # the midpoint of (0, 0) and (0, 2)
@@ -605,21 +605,23 @@ def test_same_diag_converse_solves_two_rows(monkeypatch):
     d1n = wasserstein_pow(moved1, verify._ORIGIN_DIRAC, 1)
     aligned = [eta for eta in units if wasserstein_pow(moved1, eta, 1) == d1n + 1]
     tight1, tight2 = _tight_points(moved1, 2), _tight_points(moved2, 2)
-    rows = []
-    batch = verify.wasserstein_pows
+    pairs1 = [eta for eta in units if _all_tight(eta, tight1)]
+    pairs2 = [eta for eta in aligned if _all_tight(eta, tight2)]
+    solved = []
+    solve = verify.wasserstein_pow
 
-    def recording(mu, nus, p):
-        rows.append(list(nus))
-        return batch(mu, nus, p)
+    def recording(mu, nu, p):
+        solved.append((mu, nu))
+        return solve(mu, nu, p)
 
-    monkeypatch.setattr(verify, "wasserstein_pows", recording)
+    monkeypatch.setattr(verify, "wasserstein_pow", recording)
     report = check_same_diag_char(mu1, mu2, [])
     assert report.passed and report.instances == len(template)
-    assert rows == [
-        lattice, [eta for eta in units if _all_tight(eta, tight1)],
-        lattice, [eta for eta in aligned if _all_tight(eta, tight2)],
+    assert solved == [
+        *((moved1, eta) for eta in lattice + pairs1),
+        *((moved2, eta) for eta in lattice + pairs2),
     ]
-    assert rows[1]
+    assert pairs1
 
 
 def test_converse_failure_names_its_candidate_around_y(monkeypatch):
@@ -631,15 +633,15 @@ def test_converse_failure_names_its_candidate_around_y(monkeypatch):
     y = Point2(F(1), F(1, 2))  # the midpoint of the two atoms
     moved = push_forward(lambda x: x - y, off)
     eta = DiscreteMeasure.dirac(Point2(F(1, 2), F(0)))
-    # a Dirac row entry that aligns eta through delta_y, as no true one does
+    # a Dirac distance that aligns eta through delta_y, as no true one does
     d_0 = wasserstein_pow(moved, verify._ORIGIN_DIRAC, 1)
     assert wasserstein_pow(moved, eta, 1) != d_0 + F(1, 2)
-    batch = verify.wasserstein_pows
+    solve = verify.wasserstein_pow
 
-    def planted(mu, nus, p):
-        return [d_0 + F(1, 2) if nu == eta else d for nu, d in zip(nus, batch(mu, nus, p))]
+    def planted(mu, nu, p):
+        return d_0 + F(1, 2) if nu == eta else solve(mu, nu, p)
 
-    monkeypatch.setattr(verify, "wasserstein_pows", planted)
+    monkeypatch.setattr(verify, "wasserstein_pow", planted)
     report = check_diag_support_char(off, [])
     assert report.instances == 117
     assert [f["kind"] for f in report.failures] == ["converse-alignment"]
@@ -650,9 +652,8 @@ def full_converse_row(moved, span):
     """The converse row as it was solved before tight atoms decided it:
     d_1(moved, delta_0), then d_1(moved, eta) for every candidate of the
     span's template, each an exact solve."""
-    etas = [eta for eta, _ in _eta_template(span, 1)]
-    d_0, *row = transport.wasserstein_pows(moved, [verify._ORIGIN_DIRAC, *etas], 1)
-    return d_0, row
+    d_0 = transport.wasserstein_pow(moved, verify._ORIGIN_DIRAC, 1)
+    return d_0, [transport.wasserstein_pow(moved, eta, 1) for eta, _ in _eta_template(span, 1)]
 
 
 @st.composite
