@@ -60,8 +60,13 @@ def _negative_weight(x: Point2, w: Scalar) -> ConstraintError:
 
 def _merge_atoms(atoms: Iterable[Atom]) -> tuple[Atom, ...]:
     """The atoms sorted, zero weights dropped and points merged: exact
-    pairs when equal, others within MERGE_TOL.  A float coordinate
-    beyond the float range is a ConstraintError."""
+    pairs when equal, others when both float coordinates lie within
+    MERGE_TOL.  Each atom is compared with every kept atom whose x1 lies
+    within MERGE_TOL of its own, not only with the last one kept, and
+    joins the latest of them that matches; the kept atoms sort by x1, so
+    these are found by scanning the kept list backwards.  So an atom
+    that sorts between two near-duplicates does not keep them apart.  A
+    float coordinate beyond the float range is a ConstraintError."""
     kept: list[list] = []
     for x, w in sorted(atoms, key=lambda a: (a[0].x1, a[0].x2)):
         if w < 0:
@@ -73,20 +78,25 @@ def _merge_atoms(atoms: Iterable[Atom]) -> tuple[Atom, ...]:
                 f"atom {point_for_message(x)} lies beyond the float range; "
                 "--exact computes it exactly"
             )
-        if kept:
-            px, pw = kept[-1]
-            exact_pair = px.exact and x.exact
-            if exact_pair:
+        x1 = x.x1
+        match = None
+        for entry in reversed(kept):
+            px = entry[0]
+            # in the coordinates' own types: exact x1 need no float(),
+            # and with a float x1 this is float(x1) - float(px.x1) >= 0
+            if x1 - px.x1 > MERGE_TOL:
+                break
+            if px.exact and x.exact:
                 same = px == x
             else:
-                same = (
-                    abs(float(x.x1) - float(px.x1)) <= MERGE_TOL
-                    and abs(float(x.x2) - float(px.x2)) <= MERGE_TOL
-                )
+                same = abs(float(x.x2) - float(px.x2)) <= MERGE_TOL
             if same:
-                kept[-1][1] = pw + w
-                continue
-        kept.append([x, w])
+                match = entry
+                break
+        if match is None:
+            kept.append([x, w])
+        else:
+            match[1] += w
     return tuple((x, w) for x, w in kept)
 
 

@@ -36,7 +36,12 @@ degenerate instances this package cares about.
 Pricing is block search, as in the LEMON-derived solver of Bonneel, van
 de Panne, Paris and Heidrich (ACM TOG 30(6), 2011): the cells are
 scanned cyclically in blocks of isqrt(m*n), and the most negative
-reduced cost of the first block that has one enters.  A basic cell
+reduced cost of the first block that has one enters.  A (row, column)
+cursor and the room left in the current block carry the scan from
+run to run, a run being the stretch of one row inside one block, so
+the scan does no division or modulo and no min() call per run.  A
+pass ends after all m*n cells, its last block cut short there when
+the block size does not divide m*n.  A basic cell
 never does, as its reduced cost is 0 (on floats, within rounding far
 below the tolerance).  The cycle is found by climbing from the end of
 the entering cell with the smaller subtree.  A pivot updates the index
@@ -151,29 +156,40 @@ def solve_transportation(cost, supply, demand, tol=0):
     thread = None  # the tree index, built at the first pivot
     cells = m * n
     block = max(1, isqrt(cells))
-    pos = 0  # the next cell to price, row-major
+    i0 = j0 = 0  # the next cell to price, row-major
     for _ in range(_PIVOTS_PER_CELL * cells):
         best = -tol
         entering = None
-        scanned = in_block = 0
-        while scanned < cells:
-            ie, j0 = divmod(pos, n)
-            j1 = min(n, j0 + block - in_block, j0 + cells - scanned)
-            ui = u[ie]
-            row_cost = cost[ie]
+        left = cells  # cells this pricing pass has still to scan
+        room = block  # cells left in the current block
+        while left:
+            # one run: along row i0 from column j0 to the end of the
+            # row or of the block, whichever comes first
+            j1 = j0 + room
+            if j1 > n:
+                j1 = n
+            ui = u[i0]
+            row_cost = cost[i0]
             for je in range(j0, j1):
                 rc = row_cost[je] - ui - v[je]
                 if rc < best:
                     best = rc
-                    entering = (ie, je)
+                    entering = (i0, je)
             step = j1 - j0
-            scanned += step
-            in_block += step
-            pos = (pos + step) % cells
-            if in_block == block:
+            left -= step
+            room -= step
+            if j1 == n:
+                j0 = 0
+                i0 += 1
+                if i0 == m:
+                    i0 = 0
+            else:
+                j0 = j1
+            if not room:
                 if entering is not None:
                     break
-                in_block = 0
+                # the last block of a pass ends with the pass
+                room = block if block < left else left
         if entering is None:
             break
         if thread is None:

@@ -172,8 +172,57 @@ def is_integer_exponent(p) -> bool:
     return False
 
 
+#: the largest p whose root of an exact power is rounded correctly: the
+#: integers that root takes have about 57p bits, and this keeps them
+#: within _MAX_COST_BITS
+_NEAREST_ROOT_MAX_P = _MAX_COST_BITS // 57
+
+
+def _nearest_root(n: int, d: int, p: int) -> float:
+    """The float nearest (n/d)^(1/p), for n/d in the normal float range
+    and whole p >= 2.
+
+    With 2^(e-1) < n/d < 2^(e+1), the k below puts R = (n/d)^(1/p) 2^k
+    in (2^56, 2^58).  r = floor(R) is the integer p-th root of
+    floor(n 2^(kp) / d), and R is whole iff that division is exact and
+    r^p is its quotient.  Rounding to 53 bits at that size has its ties
+    on whole numbers, so R rounds as r + 1/2 does when it is not whole:
+    2r + 1, or 2r when R is, takes one int-to-float conversion, which
+    Python rounds correctly, and an exact ldexp by -(k + 1).  The cost
+    is a few powers of 57p-bit integers, whatever the value.
+    """
+    e = n.bit_length() - d.bit_length()
+    k = 56 - (e - 1) // p
+    s = k * p
+    if s >= 0:
+        q, rem = divmod(n << s, d)
+    else:
+        q, rem = divmod(n, d << -s)
+    if p == 2:
+        r = math.isqrt(q)
+    else:
+        # Newton's step from above falls to floor(q^(1/p)) and stops
+        # there; the float guess lies within a relative 2^-45 of the
+        # root, so a 2^-40 margin starts above it, a few steps from it
+        r = int(2.0 ** (math.log2(q) / p))
+        r += (r >> 40) + 2
+        while True:
+            t = ((p - 1) * r + q // r ** (p - 1)) // p
+            if t >= r:
+                break
+            r = t
+    inexact = rem or r**p != q
+    return math.ldexp(float(2 * r + (1 if inexact else 0)), -k - 1)
+
+
 def root_p(v: Scalar, p) -> Scalar:
-    """p-th root of a nonnegative scalar; exact only for p == 1."""
+    """p-th root of a nonnegative scalar; exact only for p == 1.
+
+    The root of an exact v in the normal float range is the correctly
+    rounded float for whole p up to _NEAREST_ROOT_MAX_P; float(v) **
+    (1/p) would be off by up to about |ln v| / (2p) ulps, from the
+    rounding of 1/p.  A float v, and a larger p, take that float root.
+    """
     if p == 1:
         return v
     try:
@@ -186,7 +235,11 @@ def root_p(v: Scalar, p) -> Scalar:
         f = float(v)
     except OverflowError:
         f = math.inf
-    if not is_exact(v) or not v or sys.float_info.min <= f < math.inf:
+    if not is_exact(v) or not v:
+        return f ** inverse
+    if sys.float_info.min <= f < math.inf:
+        if is_integer_exponent(p) and p <= _NEAREST_ROOT_MAX_P:
+            return _nearest_root(*v.as_integer_ratio(), int(p))
         return f ** inverse
     # exact v overflows a float or falls below its normal range, where float(v)
     # rounds or underflows to 0.0: write v = m 2^e with m in (1/2, 2)

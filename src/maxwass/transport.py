@@ -59,6 +59,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from typing import NamedTuple
 
 from .measure import DiscreteMeasure
@@ -100,14 +101,24 @@ def _exact_exponent(p, *measures) -> int | None:
 
 
 def _cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, fp: float):
-    """float(dm(x, y)) ** fp per cell, dm written out: the max is taken
-    in the coordinates' own types and rounded once, so points that mix
-    exact and float coordinates get the costs dm gives them."""
+    """dm(x, y) ** fp per cell, dm written out: the max is taken in the
+    coordinates' own types, so points that mix exact and float
+    coordinates get the costs dm gives them.  An exact dm reaches the
+    float power unconverted: `** fp` rounds it to a float once, as
+    float() would, and raises the same OverflowError beyond the float
+    range.  Plain loops build it, with no float() or max() call per
+    cell and no comprehension frame per row."""
     cols = nu.points()
-    return [
-        [float(max(abs(x1 - y1), abs(x2 - y2))) ** fp for y1, y2 in cols]
-        for x1, x2 in mu.points()
-    ]
+    cost = []
+    for x1, x2 in mu.points():
+        row = []
+        append = row.append
+        for y1, y2 in cols:
+            d = abs(x1 - y1)
+            e = abs(x2 - y2)
+            append((e if e > d else d) ** fp)
+        cost.append(row)
+    return cost
 
 
 def _require_cost_bits(q: int, top: int):
@@ -130,25 +141,42 @@ def _integer_instance(mu: DiscreteMeasure, nu: DiscreteMeasure, q: int):
     whole; dm is 1-homogeneous, so the costs dm^q scale by L^q, and a
     total cost divides by W * L^q and a flow by W.  Positive scaling
     keeps the sign of every comparison, so the optimal vertices are
-    those of the rational instance.  The dm values are checked before
-    any is powered, so it raises a ConstraintError where dm^q or L^q
-    would exceed _MAX_COST_BITS bits.  Every list is new on each call,
-    cost rows included: a caller may edit them, and the certificate
-    compares margins with supply and demand as lists.
+    those of the rational instance.  The dm rows are built in plain
+    loops, with no max() call per cell, and the same pass keeps the
+    largest of L and every dm, the top value `_require_cost_bits`
+    checks before any power is taken; so it raises a ConstraintError
+    where dm^q or L^q would exceed _MAX_COST_BITS bits.  A form whose
+    scale is already L or W lends its own coordinates or weights.
+    Every list is new on each call, cost rows included: a caller may
+    edit them, and the certificate compares margins with supply and
+    demand as lists.
     """
     a, b = mu.integer, nu.integer
     coord_scale = math.lcm(a.coord_scale, b.coord_scale)
     ka, kb = coord_scale // a.coord_scale, coord_scale // b.coord_scale
-    xs = [(x1 * ka, x2 * ka) for x1, x2 in a.coords]
-    ys = [(y1 * kb, y2 * kb) for y1, y2 in b.coords]
-    cost = [[max(abs(x1 - y1), abs(x2 - y2)) for y1, y2 in ys] for x1, x2 in xs]
-    _require_cost_bits(q, max(coord_scale, max(map(max, cost))))
+    xs = a.coords if ka == 1 else [(x1 * ka, x2 * ka) for x1, x2 in a.coords]
+    ys = b.coords if kb == 1 else [(y1 * kb, y2 * kb) for y1, y2 in b.coords]
+    top = coord_scale
+    cost = []
+    for x1, x2 in xs:
+        row = []
+        append = row.append
+        for y1, y2 in ys:
+            d = abs(x1 - y1)
+            e = abs(x2 - y2)
+            if e > d:
+                d = e
+            if d > top:
+                top = d
+            append(d)
+        cost.append(row)
+    _require_cost_bits(q, top)
     if q != 1:
-        cost = [[d**q for d in row] for row in cost]
+        cost = [list(map(pow, row, repeat(q))) for row in cost]
     weight_scale = math.lcm(a.weight_scale, b.weight_scale)
     ka, kb = weight_scale // a.weight_scale, weight_scale // b.weight_scale
-    supply = [w * ka for w in a.weights]
-    demand = [w * kb for w in b.weights]
+    supply = list(a.weights) if ka == 1 else [w * ka for w in a.weights]
+    demand = list(b.weights) if kb == 1 else [w * kb for w in b.weights]
     return cost, supply, demand, coord_scale**q, weight_scale
 
 

@@ -215,6 +215,24 @@ def test_dist_roots_a_power_outside_the_float_range(x, fmt, text, capsys):
         assert out == f"{text}\n"
 
 
+@pytest.mark.parametrize(
+    "x, p, text",
+    [("7", "3", "7.0"), ("1e-100", "3", "1e-100"), ("1e-100", "2", "1e-100")],
+    ids=["7-cubed", "tiny-cubed", "tiny-squared"],
+)
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_dist_roots_an_exact_power_to_the_nearest_float(x, p, text, fmt, capsys):
+    """The power 343 roots to 7.0, where float(343) ** (1/3) gives
+    6.999999999999999, and 10^-300 to 1e-100, not 1.0000000000000128e-100."""
+    argv = ["dist", "--dirac", "0,0", "--dirac", f"{x},0", "--p", p, "--format", fmt]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    if fmt == "json":
+        assert repr(json.loads(out)["distance"]) == text
+    else:
+        assert out == f"{text}\n"
+
+
 def test_dist_exact_cost_beyond_the_cost_bits(capsys):
     argv = ["dist", "--dirac", "0,0", "--dirac", "2,1", "--p", "100000", "--exact"]
     assert cli.main(argv) == 3

@@ -1,5 +1,6 @@
 """Measure container tests: canonical atoms, two-point family, grids."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from maxwass.measure import (
     push_forward,
 )
 from maxwass.scalars import ConstraintError, ParseError, parse_scalar, shown
+from maxwass.transport import wasserstein
 
 F = Fraction
 
@@ -37,6 +39,41 @@ def test_atoms_canonicalized_sorted_and_merged():
         (Point2(F(0), F(0)), F(1, 4)),
         (Point2(F(1), F(0)), F(3, 4)),
     )
+
+
+def test_near_duplicates_merge_across_an_atom_between_them():
+    """(1e-13, 5) lies within MERGE_TOL of (0, 5), though (1e-13, 0)
+    sorts between them: it merges all the same, so the mass put on
+    either near-duplicate builds the same measure."""
+    a = DiscreteMeasure(
+        [(Point2(0.0, 5.0), 0.5), (Point2(1e-13, 0.0), 0.25), (Point2(1e-13, 5.0), 0.25)]
+    )
+    b = DiscreteMeasure(
+        [(Point2(1e-13, 5.0), 0.5), (Point2(1e-13, 0.0), 0.25), (Point2(0.0, 5.0), 0.25)]
+    )
+    assert a.atoms == ((Point2(0.0, 5.0), 0.75), (Point2(1e-13, 0.0), 0.25))
+    assert a == b
+    assert wasserstein(a, b, 1)[0] == 0.0
+
+
+def test_three_atom_chain_merges_into_the_kept_atom():
+    """Atoms 0.7e-12 apart along x1: the second merges into the first,
+    the third lies 1.4e-12 from the first, the atom kept, and stays
+    apart, in whatever order the atoms come; the atom (0.7e-12, 5)
+    between them in sort order changes nothing."""
+    chain = [
+        (Point2(0.0, 0.0), 0.25),
+        (Point2(0.7e-12, 0.0), 0.25),
+        (Point2(1.4e-12, 0.0), 0.25),
+        (Point2(0.7e-12, 5.0), 0.25),
+    ]
+    want = (
+        (Point2(0.0, 0.0), 0.5),
+        (Point2(0.7e-12, 5.0), 0.25),
+        (Point2(1.4e-12, 0.0), 0.25),
+    )
+    for atoms in itertools.permutations(chain):
+        assert DiscreteMeasure(atoms).atoms == want
 
 
 def test_zero_weights_dropped_negative_rejected():

@@ -274,6 +274,42 @@ def test_long_int_solve_pivots_as_the_reference(instance):
     assert solve_transportation(*instance) == reference_solve(*instance)
 
 
+@st.composite
+def grid_float_instances(draw):
+    """Costs dm^p as floats between points of the 1/8 grid in [-3, 3]^2
+    and weights r/sum(r), as a float solve builds them, with its
+    tolerance, on 10 to 30 rows and a different number of columns: the
+    pricing blocks of isqrt(m*n) cells start and end inside rows."""
+    m, n, p = draw(st.integers(10, 30)), draw(st.integers(10, 29)), draw(st.integers(1, 3))
+    n += n >= m
+    point = st.tuples(st.integers(-24, 24), st.integers(-24, 24))
+    xs = draw(st.lists(point, min_size=m, max_size=m))
+    ys = draw(st.lists(point, min_size=n, max_size=n))
+    cost = [
+        [float(max(abs(x1 - y1), abs(x2 - y2)) / 8) ** p for y1, y2 in ys]
+        for x1, x2 in xs
+    ]
+
+    def weights(size):
+        parts = draw(st.lists(st.integers(1, 12), min_size=size, max_size=size))
+        return [r / sum(parts) for r in parts]
+
+    tol = 1e-11 * max(1.0, max(map(max, cost)))
+    return cost, weights(m), weights(n), tol
+
+
+@settings(max_examples=50, deadline=None)
+@given(instance=grid_float_instances())
+def test_long_float_solve_pivots_as_the_reference(instance):
+    """Long float runs whose pricing wraps around the cells many times
+    end on the reference's vertex and potentials, bit for bit."""
+    _, flows, u, v = solve_transportation(*instance)
+    _, ref_flows, ref_u, ref_v = reference_solve(*instance)
+    assert flows == ref_flows
+    assert u == ref_u
+    assert v == ref_v
+
+
 @pytest.mark.parametrize(
     "cost, supply, demand",
     [

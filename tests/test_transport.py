@@ -1,11 +1,13 @@
 """Solver tests: exact optima, metric axioms, plans, uniqueness."""
 
 import io
+import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from draws import rand_frac, rand_measure
@@ -13,7 +15,12 @@ from maxwass import transport
 from maxwass.geometry import Point2, dm
 from maxwass.measure import DiscreteMeasure
 from maxwass.netsimplex import solve_transportation
-from maxwass.scalars import ConstraintError, is_integer_exponent, root_p
+from maxwass.scalars import (
+    _NEAREST_ROOT_MAX_P,
+    ConstraintError,
+    is_integer_exponent,
+    root_p,
+)
 from maxwass.transport import (
     TransportPlan,
     _integer_instance,
@@ -1182,6 +1189,37 @@ def test_root_of_a_power_outside_the_float_range(power, p, root):
     rooted from its exact mantissa and exponent, not from float(power),
     which rounds 10^-400 to 0.0."""
     assert root_p(power, p) == root
+
+
+def test_root_of_a_whole_power_is_whole():
+    """k^p roots to float(k); float(k^p) ** (1/p) misses some by an ulp,
+    as 7^3 roots to 6.999999999999999."""
+    for p in range(2, 8):
+        for k in range(1, 201):
+            assert root_p(k**p, p) == float(k)
+            assert root_p(F(k**p), float(p)) == float(k)
+    assert root_p(F(1, 10**300), 3) == 1e-100
+
+
+def _is_nearest_root(v, p, y):
+    """y is the float nearest v^(1/p): v lies between the p-th powers of
+    the midpoints from y to its two neighbours."""
+    below = math.nextafter(y, 0.0)
+    above = math.nextafter(y, math.inf)
+    return ((F(below) + F(y)) / 2) ** p <= v <= ((F(y) + F(above)) / 2) ** p
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 10**40),
+    d=st.integers(1, 10**40),
+    shift=st.integers(-900, 900),
+    p=st.sampled_from([2, 3, 4, 5, 7, 12, 100, _NEAREST_ROOT_MAX_P]),
+)
+def test_root_of_an_exact_power_is_correctly_rounded(n, d, shift, p):
+    v = F(n, d) * F(2) ** shift
+    assume(sys.float_info.min <= v < sys.float_info.max)
+    assert _is_nearest_root(v, p, root_p(v, p))
 
 
 def test_root_of_a_float_power_is_the_float_root():
